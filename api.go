@@ -6,6 +6,7 @@ import (
 
 	"dynq/internal/core"
 	"dynq/internal/geom"
+	"dynq/internal/obs"
 	"dynq/internal/rtree"
 	"dynq/internal/stats"
 )
@@ -32,20 +33,21 @@ type QueryOptions struct {
 	Stats func(stats.Snapshot)
 }
 
-// begin applies the per-query deadline and arms the stats sink against
-// the database's cumulative cost snapshot; finish must be called
-// (deferred) when the query completes.
-func (o QueryOptions) begin(ctx context.Context, snap func() stats.Snapshot) (context.Context, func()) {
+// beginOp applies a per-operation deadline (when positive) and arms a
+// stats sink (when non-nil) against the database's cumulative cost
+// snapshot — the shared opening of every Ctx query and write; finish must
+// be called (deferred) when the operation completes.
+func beginOp(ctx context.Context, deadline time.Duration, sink func(stats.Snapshot), snap func() stats.Snapshot) (context.Context, func()) {
 	cancel := func() {}
-	if o.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.Deadline)
+	if deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 	}
-	if o.Stats == nil {
+	if sink == nil {
 		return ctx, cancel
 	}
 	before := snap()
 	return ctx, func() {
-		o.Stats(snap().Sub(before))
+		sink(snap().Sub(before))
 		cancel()
 	}
 }
@@ -58,7 +60,7 @@ func (db *DB) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opts Q
 	if err != nil {
 		return nil, err
 	}
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.counters.Snapshot)
 	defer finish()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -67,16 +69,7 @@ func (db *DB) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opts Q
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = Result{
-			ID:        ObjectID(m.ID),
-			Segment:   fromSegment(m.Seg),
-			Appear:    m.Overlap.Lo,
-			Disappear: m.Overlap.Hi,
-		}
-	}
-	return out, nil
+	return fromRangeMatches(ms), nil
 }
 
 // KNNCtx is KNN with cooperative cancellation and per-query options.
@@ -84,7 +77,7 @@ func (db *DB) KNNCtx(ctx context.Context, point []float64, t float64, k int, opt
 	if opts.Limit > 0 && opts.Limit < k {
 		k = opts.Limit
 	}
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.counters.Snapshot)
 	defer finish()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -92,11 +85,7 @@ func (db *DB) KNNCtx(ctx context.Context, point []float64, t float64, k int, opt
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = Neighbor{ID: ObjectID(n.ID), Segment: fromSegment(n.Seg), Dist: n.Dist}
-	}
-	return out, nil
+	return fromNeighbors(nbs), nil
 }
 
 // PredictiveCursor is the predictive dynamic query session surface shared
@@ -152,6 +141,19 @@ type Database interface {
 	Degraded() bool
 	// SetReadOnly manually enters or clears read-only mode.
 	SetReadOnly(on bool)
+	// WALTelemetry snapshots the write-ahead logs' instrumentation with
+	// rolling windows over the given spans (several logs merge into one
+	// section); ok is false without a log.
+	WALTelemetry(windows []time.Duration) (obs.WALTelemetry, bool)
+	// RegisterWALMetrics exposes the logs' metrics in a registry,
+	// reporting whether any log was present to register.
+	RegisterWALMetrics(reg *obs.Registry) bool
+	// MaintenanceTelemetry snapshots the self-healing maintenance loop;
+	// ok is false when no loop is running.
+	MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool)
+	// RegisterMaintenanceMetrics exposes the maintenance loop's counters
+	// in a registry, reporting whether a loop was running to register.
+	RegisterMaintenanceMetrics(reg *obs.Registry) bool
 	Close() error
 }
 

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,45 +157,40 @@ func (f *chaosWALFault) fault(string) error {
 // openChaos reopens the committed file with full recovery, a FaultStore
 // interposed on the page path, a fault-hooked WAL, and a manually ticked
 // maintenance loop under the injected clock.
-func openChaos(path, walPath string, bufferPages int, mopts MaintenanceOptions,
-	now func() time.Time, walFault func(string) error) (*DB, *pager.FileStore, *pager.FaultStore, *RecoveryReport, error) {
-	fail := func(err error) (*DB, *pager.FileStore, *pager.FaultStore, *RecoveryReport, error) {
-		return nil, nil, nil, nil, err
-	}
+func openChaos(path string, bufferPages int, mopts MaintenanceOptions,
+	now func() time.Time, walFault func(string) error) (*DB, *pager.FaultStore, *RecoveryReport, error) {
 	fs, err := pager.OpenFileStore(path)
 	if err != nil {
-		return fail(err)
+		return nil, nil, nil, err
 	}
 	faults := pager.NewFaultStore(fs)
 	db, rep, err := recoverFileStore(fs, faults)
+	if err == nil {
+		db.health.after = 2 // degrade on the second consecutive write failure
+		if bufferPages > 0 {
+			err = db.tree.UseBuffer(bufferPages)
+			db.bufferPages = bufferPages
+		}
+	}
+	if err == nil {
+		db.wal, err = replayLog(path+".wal", wal.Options{Fault: walFault}, db.tree, db.cfg.Dims, 0, 1, db.appliedLSN, rep)
+	}
 	if err != nil {
 		fs.Close()
-		return fail(err)
-	}
-	db.health.after = 2 // degrade on the second consecutive write failure
-	if bufferPages > 0 {
-		if err := db.tree.UseBuffer(bufferPages); err != nil {
-			fs.Close()
-			return fail(err)
-		}
-		db.bufferPages = bufferPages
-	}
-	if err := db.armWALWith(walPath, wal.Options{Fault: walFault}, rep); err != nil {
-		fs.Close()
-		return fail(err)
+		return nil, nil, nil, err
 	}
 	db.maint = startMaintainer(db, mopts)
 	if db.maint != nil {
 		db.maint.now = now
 	}
-	return db, fs, faults, rep, nil
+	return db, faults, rep, nil
 }
 
-// chaosCrash abandons the database as a power cut would: the log and the
-// page file are dropped without a final sync.
-func chaosCrash(db *DB, fs *pager.FileStore) error {
-	db.wal.Crash()
-	return fs.Crash()
+// absorb copies the crash/replay core's counters into the chaos report.
+func (r *ChaosSoakReport) absorb(w WALSoakReport) {
+	r.Cycles, r.BatchesAcked, r.BatchesAsync, r.AsyncSurvived = w.Cycles, w.BatchesAcked, w.BatchesAsync, w.AsyncSurvived
+	r.Tears, r.TornTails, r.RecordsReplayed, r.UpdatesReplayed = w.Tears, w.TornTails, w.RecordsReplayed, w.UpdatesReplayed
+	r.Rotations, r.LostAcked, r.WrongAnswers, r.QueriesCompared = w.Rotations, w.LostAcked, w.WrongAnswers, w.QueriesCompared
 }
 
 // ChaosSoak runs the combined crash + disk-full + self-healing soak.
@@ -217,23 +209,11 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 	if opts.Cycles <= 0 {
 		opts.Cycles = 60
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	if opts.Batch <= 0 {
 		opts.Batch = 24
 	}
-	if opts.AckedBatches <= 0 {
-		opts.AckedBatches = 4
-	}
 	if opts.AsyncBatches <= 0 {
 		opts.AsyncBatches = 3
-	}
-	if opts.Writers <= 0 {
-		opts.Writers = 4
-	}
-	if opts.BufferPages <= 0 {
-		opts.BufferPages = 4096
 	}
 	if opts.MaxWALBytes <= 0 {
 		opts.MaxWALBytes = 4 << 10
@@ -244,21 +224,11 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 	if opts.ScrubEvery == 0 {
 		opts.ScrubEvery = 2
 	}
-	if opts.MaxSegments <= 0 {
-		opts.MaxSegments = 8192
-	}
-	dir := opts.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "dynq-chaossoak")
-		if err != nil {
-			return ChaosSoakReport{}, err
-		}
-		defer os.RemoveAll(dir)
-	}
-	path := filepath.Join(dir, "chaossoak.dynq")
-	walPath := path + ".wal"
-
+	l := newSoakLoop(WALSoakOptions{
+		Cycles: opts.Cycles, Seed: opts.Seed, Batch: opts.Batch,
+		AckedBatches: opts.AckedBatches, AsyncBatches: opts.AsyncBatches, Writers: opts.Writers,
+		BufferPages: opts.BufferPages, MaxSegments: opts.MaxSegments, Dir: opts.Dir,
+	})
 	mopts := MaintenanceOptions{
 		Checkpoint:       CheckpointPolicy{MaxBytes: opts.MaxWALBytes},
 		ScrubPagesPerSec: 200_000, // one tick covers the whole working set
@@ -268,68 +238,34 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	hook := &chaosWALFault{}
 	ctx := context.Background()
-
 	var rep ChaosSoakReport
-	var committed []soakSeg
-	replica, err := Open(Options{})
-	if err != nil {
-		return rep, err
+
+	// The open hook keeps the concrete database and its fault store for
+	// the episode steps.
+	var db *DB
+	var faults *pager.FaultStore
+	l.open = func() (maintainable, []*RecoveryReport, error) {
+		var rrep *RecoveryReport
+		var err error
+		if db, faults, rrep, err = openChaos(l.path, l.opts.BufferPages, mopts, clk.Now, hook.fault); err != nil {
+			return nil, nil, err
+		}
+		return db, []*RecoveryReport{rrep}, nil
 	}
-	defer func() { replica.Close() }()
-	if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
-		return rep, err
+	l.progress = func(cycle int) {
+		if opts.Log != nil && (cycle+1)%10 == 0 {
+			rep.absorb(l.rep)
+			opts.Log("chaos soak cycle %d/%d: %s", cycle+1, opts.Cycles, rep)
+		}
 	}
-
-	wrand := rand.New(rand.NewSource(opts.Seed))
-	var nextID ObjectID
-	var pendingAsync [][]soakSeg
-	for cycle := 0; cycle < opts.Cycles; cycle++ {
-		rep.Cycles++
-
-		// Recovery phase: reopen, replay, reconcile, compare.
-		db, fs, faults, rrep, err := openChaos(path, walPath, opts.BufferPages, mopts, clk.Now, hook.fault)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: reopen: %w", cycle, err)
-		}
-		if !rrep.WALArmed {
-			return rep, fmt.Errorf("cycle %d: reopen did not arm the wal sidecar", cycle)
-		}
-		rep.RecordsReplayed += rrep.WALRecordsReplayed
-		rep.UpdatesReplayed += rrep.WALUpdatesReplayed
-		if rrep.WALTornTail {
-			rep.TornTails++
-		}
-		survived, err := reconcileAsync(db, replica, &committed, pendingAsync)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-		if survived < 0 {
-			rep.LostAcked++
-			survived = 0
-		}
-		rep.AsyncSurvived += survived
-		pendingAsync = nil
-		qrand := rand.New(rand.NewSource(opts.Seed ^ (int64(cycle)+1)*0x5DEECE66D))
-		wrong, compared, err := compareAnswers(db, replica, qrand)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: query comparison: %w", cycle, err)
-		}
-		rep.WrongAnswers += wrong
-		rep.QueriesCompared += compared
-
+	l.middle = func(cycle int, _ maintainable) error {
 		// commitBatch applies one batch durably and mirrors it into the
 		// replica — the write the soak's durability invariant covers.
 		commitBatch := func(ups []MotionUpdate, batch []soakSeg) error {
 			if err := db.ApplyUpdates(ctx, ups, WriteOptions{Durability: DurabilitySync}); err != nil {
 				return err
 			}
-			committed = append(committed, batch...)
-			for _, s := range batch {
-				if err := replica.Insert(s.id, s.seg); err != nil {
-					return fmt.Errorf("replica insert: %w", err)
-				}
-			}
-			return nil
+			return l.commit(batch)
 		}
 		// healLoop ticks the maintenance loop (faults already cleared)
 		// until the recovery probe brings the database back read-write.
@@ -363,50 +299,6 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			}
 		}
 
-		// Acknowledged write phase: concurrent batches, group-committed.
-		acked := make([][]soakSeg, opts.AckedBatches)
-		ackedUps := make([][]MotionUpdate, opts.AckedBatches)
-		for i := range acked {
-			acked[i] = genSoakBatch(wrand, opts.Batch, &nextID)
-			ackedUps[i] = toUpdates(acked[i])
-			if wrand.Intn(3) == 0 {
-				ackedUps[i] = withChurn(ackedUps[i])
-			}
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, opts.Writers)
-		for w := 0; w < opts.Writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(ackedUps); i += opts.Writers {
-					d := DurabilityGroupCommit
-					if i%5 == 4 {
-						d = DurabilitySync
-					}
-					if err := db.ApplyUpdates(ctx, ackedUps[i], WriteOptions{Durability: d}); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return rep, fmt.Errorf("cycle %d: acked batch: %w", cycle, err)
-			}
-		}
-		rep.BatchesAcked += len(acked)
-		for _, b := range acked {
-			committed = append(committed, b...)
-			for _, s := range b {
-				if err := replica.Insert(s.id, s.seg); err != nil {
-					return rep, fmt.Errorf("cycle %d: replica insert: %w", cycle, err)
-				}
-			}
-		}
-
 		// The soak never calls Sync itself: one maintenance tick must keep
 		// the log under the checkpoint policy's byte cap.
 		clk.Advance(defaultMaintInterval)
@@ -421,50 +313,50 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			hook.sticky.Store(true)
 			degraded := false
 			for i := 0; i < 8 && !degraded; i++ {
-				b := genSoakBatch(wrand, opts.Batch, &nextID)
+				b := l.gen(opts.Batch)
 				err := db.ApplyUpdates(ctx, toUpdates(b), WriteOptions{Durability: DurabilitySync})
 				if err == nil {
 					hook.sticky.Store(false)
-					return rep, fmt.Errorf("cycle %d: durable write succeeded with the log volume full", cycle)
+					return errors.New("durable write succeeded with the log volume full")
 				}
 				noteFaultErr(err)
 				degraded = db.Degraded()
 			}
 			if !degraded {
 				hook.sticky.Store(false)
-				return rep, fmt.Errorf("cycle %d: database did not degrade under a full log volume", cycle)
+				return errors.New("database did not degrade under a full log volume")
 			}
 			rep.DiskFullEpisodes++
 			rep.Degradations++
 			// The gate must refuse further writes with the typed sentinel.
-			if err := db.ApplyUpdates(ctx, toUpdates(genSoakBatch(wrand, 1, &nextID)), WriteOptions{}); !errors.Is(err, ErrReadOnly) {
+			if err := db.ApplyUpdates(ctx, toUpdates(l.gen(1)), WriteOptions{}); !errors.Is(err, ErrReadOnly) {
 				rep.UntypedWriteErrors++
 			}
 			hook.sticky.Store(false) // space returns
 			if err := healLoop(); err != nil {
-				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
+				return err
 			}
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
+			b := l.gen(opts.Batch)
 			if err := commitBatch(toUpdates(b), b); err != nil {
-				return rep, fmt.Errorf("cycle %d: post-heal durable write: %w", cycle, err)
+				return fmt.Errorf("post-heal durable write: %w", err)
 			}
 
 		case 2: // transient disk-full spike on the log volume
 			hook.burst.Store(1)
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
+			b := l.gen(opts.Batch)
 			ups := toUpdates(b)
 			err := db.ApplyUpdates(ctx, ups, WriteOptions{Durability: DurabilitySync})
 			if err == nil {
-				return rep, fmt.Errorf("cycle %d: transient log fault did not fire", cycle)
+				return errors.New("transient log fault did not fire")
 			}
 			noteFaultErr(err)
 			rep.TransientFaults++
 			if db.Degraded() {
-				return rep, fmt.Errorf("cycle %d: one transient failure tripped read-only (threshold is 2)", cycle)
+				return errors.New("one transient failure tripped read-only (threshold is 2)")
 			}
 			// Space came back on its own; the same batch must now commit.
 			if err := commitBatch(ups, b); err != nil {
-				return rep, fmt.Errorf("cycle %d: retry after transient fault: %w", cycle, err)
+				return fmt.Errorf("retry after transient fault: %w", err)
 			}
 
 		case 3: // sticky disk-full on the page-store volume
@@ -472,29 +364,29 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			err := db.Sync()
 			if err == nil {
 				faults.DisarmNoSpace()
-				return rep, fmt.Errorf("cycle %d: checkpoint succeeded with the page volume full", cycle)
+				return errors.New("checkpoint succeeded with the page volume full")
 			}
 			noteFaultErr(err)
 			if !db.Degraded() {
 				faults.DisarmNoSpace()
-				return rep, fmt.Errorf("cycle %d: failed checkpoint with WAL armed did not degrade", cycle)
+				return errors.New("failed checkpoint with WAL armed did not degrade")
 			}
 			rep.DiskFullEpisodes++
 			rep.Degradations++
 			faults.DisarmNoSpace() // space returns
 			if err := healLoop(); err != nil {
-				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
+				return err
 			}
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
+			b := l.gen(opts.Batch)
 			if err := commitBatch(toUpdates(b), b); err != nil {
-				return rep, fmt.Errorf("cycle %d: post-heal durable write: %w", cycle, err)
+				return fmt.Errorf("post-heal durable write: %w", err)
 			}
 
 		case 4: // transient disk-full spike on the page-store volume
 			faults.ArmNoSpace(1, false)
 			err := db.Sync()
 			if err == nil {
-				return rep, fmt.Errorf("cycle %d: transient page fault did not fire", cycle)
+				return errors.New("transient page fault did not fire")
 			}
 			noteFaultErr(err)
 			rep.TransientFaults++
@@ -502,15 +394,15 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			// (the log cannot be allowed to grow behind silent retries);
 			// the probe must bring it back.
 			if !db.Degraded() {
-				return rep, fmt.Errorf("cycle %d: failed checkpoint with WAL armed did not degrade", cycle)
+				return errors.New("failed checkpoint with WAL armed did not degrade")
 			}
 			rep.Degradations++
 			if err := healLoop(); err != nil {
-				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
+				return err
 			}
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
+			b := l.gen(opts.Batch)
 			if err := commitBatch(toUpdates(b), b); err != nil {
-				return rep, fmt.Errorf("cycle %d: post-heal durable write: %w", cycle, err)
+				return fmt.Errorf("post-heal durable write: %w", err)
 			}
 		}
 
@@ -523,11 +415,11 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 				db.maint.tick()
 			}
 			if db.maint.scrubPassCount.Load() == passes {
-				return rep, fmt.Errorf("cycle %d: scrub pass did not complete", cycle)
+				return errors.New("scrub pass did not complete")
 			}
 			if c := db.maint.scrubCorruptCount.Load(); c > 0 {
 				rep.ScrubCorruptions += int(c)
-				return rep, fmt.Errorf("cycle %d: scrub reported %d corruptions on clean data", cycle, c)
+				return fmt.Errorf("scrub reported %d corruptions on clean data", c)
 			}
 		}
 
@@ -539,49 +431,9 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		rep.ScrubPasses += int(db.maint.scrubPassCount.Load())
 		rep.ScrubPages += int(db.maint.scrubPageCount.Load())
 
-		// The durable boundary: every log byte on disk is fsync-covered
-		// (the soak is quiescent), so the tear lands strictly beyond it.
-		ackedSize, err := fileSize(walPath)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-
-		// Async tail: appended, applied in memory, never awaited.
-		for i := 0; i < opts.AsyncBatches; i++ {
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			if err := db.ApplyUpdates(ctx, toUpdates(b), WriteOptions{Durability: DurabilityAsync}); err != nil {
-				return rep, fmt.Errorf("cycle %d: async batch: %w", cycle, err)
-			}
-			pendingAsync = append(pendingAsync, b)
-		}
-		rep.BatchesAsync += len(pendingAsync)
-
-		if err := chaosCrash(db, fs); err != nil {
-			return rep, fmt.Errorf("cycle %d: crash: %w", cycle, err)
-		}
-		torn, err := tearWALTail(walPath, ackedSize, wrand)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: tear: %w", cycle, err)
-		}
-		if torn {
-			rep.Tears++
-		}
-
-		if len(committed) >= opts.MaxSegments {
-			committed = committed[:0]
-			pendingAsync = nil
-			replica.Close()
-			if replica, err = Open(Options{}); err != nil {
-				return rep, err
-			}
-			if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
-				return rep, err
-			}
-			rep.Rotations++
-		}
-		if opts.Log != nil && (cycle+1)%10 == 0 {
-			opts.Log("chaos soak cycle %d/%d: %s", cycle+1, opts.Cycles, rep)
-		}
+		return nil
 	}
-	return rep, nil
+	err := l.run("chaossoak")
+	rep.absorb(l.rep)
+	return rep, err
 }

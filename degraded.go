@@ -59,7 +59,7 @@ func (d *degradeState) gate() error {
 // the consecutive-failure counter, failure advances it and trips
 // degraded mode at the threshold. ENOSPC-rooted failures come back
 // stamped with ErrDiskFull; other errors return unchanged, so callers
-// can `return db.noteWriteResult(err)`.
+// can `return db.health.note(err)`.
 func (d *degradeState) note(err error) error {
 	if err == nil {
 		d.writeFails.Store(0)
@@ -134,9 +134,6 @@ func (db *DB) Degraded() bool { return db.health.degraded.Load() }
 // SetReadOnly manually enters (true) or clears (false) read-only mode.
 // Clearing also forgets accumulated write failures.
 func (db *DB) SetReadOnly(on bool) { db.health.set(on) }
-
-func (db *DB) writeGate() error                { return db.health.gate() }
-func (db *DB) noteWriteResult(err error) error { return db.health.note(err) }
 
 // Degraded reports whether the database has entered read-only mode.
 func (db *ShardedDB) Degraded() bool { return db.health.degraded.Load() }

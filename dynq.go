@@ -172,9 +172,6 @@ type DB struct {
 // the database was not opened through OpenFileRecover.
 func (db *DB) LastRecovery() *RecoveryReport { return db.recovery }
 
-// Open creates a database. With Options.Path set, a new page file is
-// created, TRUNCATING any existing file at that path; use OpenFile to
-// reattach an existing one.
 // defaultWALBufferPages is the page buffer capacity a WAL-armed database
 // gets when Options.BufferPages is left 0. Unbuffered writes rewrite
 // committed pages in place; after a crash the page file then carries
@@ -184,15 +181,24 @@ func (db *DB) LastRecovery() *RecoveryReport { return db.recovery }
 // survives any crash.
 const defaultWALBufferPages = 1024
 
+// walBufferPages resolves a requested page-buffer capacity: a logged
+// database that asked for none gets defaultWALBufferPages.
+func walBufferPages(requested int, logged bool) int {
+	if logged && requested == 0 {
+		return defaultWALBufferPages
+	}
+	return requested
+}
+
+// Open creates a database. With Options.Path set, a new page file is
+// created, TRUNCATING any existing file at that path; use OpenFile to
+// reattach an existing one.
 func Open(opts Options) (*DB, error) {
 	cfg, err := opts.toConfig()
 	if err != nil {
 		return nil, err
 	}
-	bufferPages := opts.BufferPages
-	if opts.WALPath != "" && bufferPages == 0 {
-		bufferPages = defaultWALBufferPages
-	}
+	bufferPages := walBufferPages(opts.BufferPages, opts.WALPath != "")
 	var store pager.Store
 	if opts.Path != "" {
 		fs, err := pager.CreateFileStore(opts.Path)
@@ -210,18 +216,9 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{tree: tree, cfg: cfg, store: store, bufferPages: bufferPages}
 	db.health.after = int32(opts.DegradeAfter)
 	tree.SetCounters(&db.counters)
-	if fs, ok := store.(*pager.FileStore); ok {
-		// Commit the empty base state immediately: a crash before the
-		// first Sync must leave an openable (empty) file — with a WAL
-		// armed, that base is what replay rebuilds from.
-		cerr := fs.SetAux(encodeMeta(tree.Meta(), 0))
-		if cerr == nil {
-			cerr = fs.Sync()
-		}
-		if cerr != nil {
-			store.Close()
-			return nil, cerr
-		}
+	if err := commitBase(tree, store); err != nil {
+		store.Close()
+		return nil, err
 	}
 	if opts.WALPath != "" {
 		w, err := wal.Create(opts.WALPath, wal.Options{GroupCommitWindow: opts.GroupCommitWindow})
@@ -266,11 +263,7 @@ func (o Options) toConfig() (rtree.Config, error) {
 // lost as before.
 func (db *DB) Close() error {
 	db.maint.stop()
-	var werr error
-	if db.wal != nil {
-		werr = db.wal.Close()
-	}
-	return errors.Join(werr, db.store.Close())
+	return errors.Join(closeLogs(db.logs()), db.store.Close())
 }
 
 // WALStats returns the armed write-ahead log's counters, or zero when no
@@ -280,6 +273,15 @@ func (db *DB) WALStats() (wal.Stats, bool) {
 		return wal.Stats{}, false
 	}
 	return db.wal.Stats(), true
+}
+
+// logs returns the armed write-ahead log as the engines' shared
+// one-log-per-shard view: one entry, or nil without a WAL.
+func (db *DB) logs() []*wal.Log {
+	if db.wal == nil {
+		return nil
+	}
+	return []*wal.Log{db.wal}
 }
 
 // Dims returns the spatial dimensionality.
@@ -325,16 +327,16 @@ var ErrNotFound = rtree.ErrNotFound
 // Snapshot answers one spatio-temporal range query: all objects whose
 // trajectory passes through view during [t0, t1].
 func (db *DB) Snapshot(view Rect, t0, t1 float64) ([]Result, error) {
-	box, err := db.toBox(view)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ms, err := db.tree.RangeSearch(box, geom.Interval{Lo: t0, Hi: t1}, rtree.SearchOptions{}, &db.counters)
-	if err != nil {
-		return nil, err
-	}
+	return db.SnapshotCtx(context.Background(), view, t0, t1, QueryOptions{})
+}
+
+// KNN returns the k objects nearest to point at time t.
+func (db *DB) KNN(point []float64, t float64, k int) ([]Neighbor, error) {
+	return db.KNNCtx(context.Background(), point, t, k, QueryOptions{})
+}
+
+// fromRangeMatches converts range-search matches to the public result form.
+func fromRangeMatches(ms []rtree.Match) []Result {
 	out := make([]Result, len(ms))
 	for i, m := range ms {
 		out[i] = Result{
@@ -344,22 +346,16 @@ func (db *DB) Snapshot(view Rect, t0, t1 float64) ([]Result, error) {
 			Disappear: m.Overlap.Hi,
 		}
 	}
-	return out, nil
+	return out
 }
 
-// KNN returns the k objects nearest to point at time t.
-func (db *DB) KNN(point []float64, t float64, k int) ([]Neighbor, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	nbs, err := core.KNN(db.tree, geom.Point(point), t, k, &db.counters)
-	if err != nil {
-		return nil, err
-	}
+// fromNeighbors converts nearest-neighbor answers to the public form.
+func fromNeighbors(nbs []core.Neighbor) []Neighbor {
 	out := make([]Neighbor, len(nbs))
 	for i, n := range nbs {
 		out[i] = Neighbor{ID: ObjectID(n.ID), Segment: fromSegment(n.Seg), Dist: n.Dist}
 	}
-	return out, nil
+	return out
 }
 
 // CostReport is the cumulative query cost since the last ResetCost, in
@@ -402,6 +398,10 @@ func (db *DB) BufferStats() BufferStats {
 	db.mu.RLock()
 	p := db.tree.Pool()
 	db.mu.RUnlock()
+	return bufferStats(p)
+}
+
+func bufferStats(p *pager.BufferPool) BufferStats {
 	return BufferStats{
 		Hits:       p.Hits(),
 		Misses:     p.Misses(),
@@ -447,16 +447,7 @@ func (db *DB) BufferSegments() []BufferSegmentStats {
 }
 
 // Cost returns the accumulated query cost counters.
-func (db *DB) Cost() CostReport {
-	s := db.counters.Snapshot()
-	return CostReport{
-		DiskReads:     s.Reads(),
-		LeafReads:     s.LeafReads,
-		InternalReads: s.InternalReads,
-		DistanceComps: s.DistanceComps,
-		Results:       s.Results,
-	}
-}
+func (db *DB) Cost() CostReport { return costReport(db.counters.Snapshot()) }
 
 // ResetCost zeroes the cost counters.
 func (db *DB) ResetCost() { db.counters.Reset() }
@@ -481,6 +472,10 @@ func (db *DB) Stats() (IndexStats, error) {
 	if err != nil {
 		return IndexStats{}, err
 	}
+	return indexStats(st), nil
+}
+
+func indexStats(st rtree.TreeStats) IndexStats {
 	return IndexStats{
 		Height:        st.Height,
 		Segments:      st.Segments,
@@ -490,7 +485,7 @@ func (db *DB) Stats() (IndexStats, error) {
 		IntFanout:     st.MaxIntFan,
 		AvgLeafFill:   st.AvgLeafFill,
 		AvgIntFill:    st.AvgIntFill,
-	}, nil
+	}
 }
 
 // Validate checks the index's structural invariants (tests/tools).
@@ -498,10 +493,6 @@ func (db *DB) Validate() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tree.Validate()
-}
-
-func (db *DB) toSegment(s Segment) (geom.Segment, error) {
-	return toSegmentDims(s, db.Dims())
 }
 
 func toSegmentDims(s Segment, d int) (geom.Segment, error) {
@@ -540,6 +531,15 @@ func toBoxDims(r Rect, d int) (geom.Box, error) {
 		b[i] = geom.Interval{Lo: r.Min[i], Hi: r.Max[i]}
 	}
 	return b, nil
+}
+
+// fromResults converts dynamic-query answers to the public form.
+func fromResults(rs []core.Result) []Result {
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = fromResult(r)
+	}
+	return out
 }
 
 func fromResult(r core.Result) Result {

@@ -24,15 +24,7 @@ func (db *DB) Within(delta, t float64) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = Pair{
-			A: ObjectID(p.A), B: ObjectID(p.B),
-			SegmentA: fromSegment(p.SegA), SegmentB: fromSegment(p.SegB),
-			Dist: p.Dist,
-		}
-	}
-	return out, nil
+	return fromJoinPairs(pairs), nil
 }
 
 // JoinWith finds every pair (a ∈ db, b ∈ other) within delta of each
@@ -46,15 +38,7 @@ func (db *DB) JoinWith(other *DB, delta, t float64) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = Pair{
-			A: ObjectID(p.A), B: ObjectID(p.B),
-			SegmentA: fromSegment(p.SegA), SegmentB: fromSegment(p.SegB),
-			Dist: p.Dist,
-		}
-	}
-	return out, nil
+	return fromJoinPairs(pairs), nil
 }
 
 // AdaptiveOptions tune the automatic PDQ↔NPDQ hand-off of an adaptive
@@ -105,11 +89,7 @@ func (s *AdaptiveSession) Frame(view Rect, t0, t1 float64) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Predictive reports whether the session is currently running on a

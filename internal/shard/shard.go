@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"dynq/internal/geom"
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
@@ -68,7 +67,7 @@ func (o Options) withDefaults() (Options, error) {
 // counters so per-shard load is observable.
 //
 // mu serializes writers per shard and isolates readers from half-applied
-// write batches: point writes and ApplyBatch sub-batches hold it
+// write batches: point writes and UpdateShards sub-batches hold it
 // exclusively, single-shard query tasks hold it shared. Because every
 // writer holds at most ONE shard lock at a time and multi-shard readers
 // (self joins) acquire theirs in ascending shard order, no lock cycle
@@ -235,61 +234,15 @@ func (e *Engine) Delete(id rtree.ObjectID, t0 float64) error {
 	return sh.Tree.Delete(id, t0)
 }
 
-// Update is one element of an ApplyBatch write batch: an insertion, or
-// (with Delete set) the removal of the object's segment starting at T0.
-type Update struct {
-	ID     rtree.ObjectID
-	Seg    geom.Segment
-	T0     float64
-	Delete bool
-}
-
-// ApplyBatch partitions a write batch by owner shard and applies every
-// per-shard sub-batch in parallel, each under ONE shard-lock
-// acquisition: relative order within a shard is preserved (an object's
-// delete-then-reinsert works, because both route to the same shard), and
-// readers of a shard never observe a half-applied sub-batch. Cross-shard
-// visibility is not atomic — shards finish independently.
-//
-// A delete of a missing segment fails its shard's sub-batch with
-// rtree.ErrNotFound; the first error in shard order is returned, and
-// other shards may have applied their sub-batches fully.
-func (e *Engine) ApplyBatch(updates []Update) error {
-	parts := make([][]Update, len(e.shards))
-	for _, u := range updates {
-		i := e.ShardFor(u.ID)
-		parts[i] = append(parts[i], u)
-	}
-	return e.fanOut(func(i int, sh *Shard) error {
-		if len(parts[i]) == 0 {
-			return nil
-		}
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		for _, u := range parts[i] {
-			if u.Delete {
-				if err := sh.Tree.Delete(u.ID, u.T0); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := sh.Tree.Insert(u.ID, u.Seg); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // UpdateShards runs fn once per shard where touched[i] is true, on the
 // worker pool, each invocation holding that shard's exclusive lock and
-// timed into its latency histogram. It is the primitive behind
-// WAL-logged batch writes: the caller partitions the batch itself and
-// must append each sub-batch to the shard's log under the SAME lock
+// timed into its latency histogram. It is the primitive behind every
+// batch write: the caller partitions the batch itself and, with logs
+// armed, appends each sub-batch to the shard's log under the SAME lock
 // acquisition that applies it, so the log's record order matches the
-// order mutations became visible on that shard. Like ApplyBatch,
-// cross-shard visibility is not atomic; the first error in shard order
-// is returned and other shards may have completed.
+// order mutations became visible on that shard. Cross-shard visibility
+// is not atomic; the first error in shard order is returned and other
+// shards may have completed.
 func (e *Engine) UpdateShards(touched []bool, fn func(i int, sh *Shard) error) error {
 	fns := make([]func() error, 0, len(e.shards))
 	for i := range e.shards {
@@ -396,17 +349,9 @@ func (e *Engine) Validate() error {
 
 // Close shuts the worker pool down and closes every shard's store.
 func (e *Engine) Close() error {
-	e.Shutdown()
-	return e.closeStores()
-}
-
-// Shutdown stops the worker pool without touching the stores — the
-// crash-simulation path, where the caller has already abandoned the
-// stores mid-write and a clean Close would mask the simulated failure.
-// The engine must not be used afterwards.
-func (e *Engine) Shutdown() {
 	close(e.tasks)
 	e.workers.Wait()
+	return e.closeStores()
 }
 
 func (e *Engine) closeStores() error {

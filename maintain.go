@@ -47,6 +47,7 @@ import (
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
+	"dynq/internal/wal"
 )
 
 // CheckpointPolicy bounds a write-ahead log without caller cooperation:
@@ -138,25 +139,27 @@ type maintLogStat struct {
 	lag       uint64
 }
 
-// maintainable is what the maintenance loop needs from a database
-// flavor; *DB and *ShardedDB both implement it.
+// maintainable is an engine as the maintenance loop, the checkpoint path
+// and the crash soaks see it; *DB and *ShardedDB both implement it. The
+// durability work is shared over units() — one (tree, store, log) per
+// shard, a single tree being shard 0 of 1 — so an engine supplies only
+// its lock, its health state and its write path.
 type maintainable interface {
+	Database
+	Dims() int
+	Sync() error
+	// units returns the per-shard trees, page stores and logs,
+	// index-aligned; logs is nil without a WAL. Stores and logs are
+	// fixed at open, but BulkLoad swaps trees, so call it under
+	// maintLock (shared suffices) or through lockedUnits.
+	units() ([]*rtree.Tree, []pager.Store, []*wal.Log)
+	// maintLock is the database lock; checkpoints and the scrubber hold
+	// it exclusively.
+	maintLock() *sync.RWMutex
 	maintHealth() *degradeState
-	// maintLogs reports each armed log's live bytes and record lag, in
-	// log order; nil when the database runs without a WAL.
-	maintLogs() []maintLogStat
-	// maintCheckpoint checkpoints the given log indexes (already sorted
-	// worst pressure first); a single-log database ignores the indexes.
-	maintCheckpoint(idx []int) error
-	// maintRepair clears recoverable fault state before a probe: sticky
-	// log sync errors are retried and the page header re-verified.
-	maintRepair() error
-	// maintProbe attempts the self-canceling durable write while the
-	// database is degraded (the write path runs ungated).
-	maintProbe() error
-	// maintScrub verifies up to budget reachable pages under the
-	// database's exclusive lock, advancing the cursor in s.
-	maintScrub(s *scrubState, budget int) scrubResult
+	// applyUpdates is the batch write path; gated=false skips the
+	// degraded-mode gate, which the recovery probe must write through.
+	applyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions, ws *writeSpan, gated bool) error
 }
 
 // maintainer is the background maintenance loop's state. One per
@@ -292,7 +295,7 @@ func (m *maintainer) checkpointTick(now time.Time) {
 	if !m.opts.Checkpoint.enabled() {
 		return
 	}
-	stats := m.target.maintLogs()
+	stats := maintLogs(m.target)
 	if len(stats) == 0 {
 		return
 	}
@@ -330,7 +333,7 @@ func (m *maintainer) checkpointTick(now time.Time) {
 	for i, d := range due {
 		idx[i] = d.idx
 	}
-	if err := m.target.maintCheckpoint(idx); err != nil {
+	if err := syncUnits(m.target, idx); err != nil {
 		m.checkpointFailures.Add(1)
 		obs.DefaultJournal().Record(obs.EventAutoCheckpoint, obs.SeverityWarn,
 			"auto-checkpoint failed", map[string]string{
@@ -377,9 +380,9 @@ func (m *maintainer) probeTick(now time.Time) {
 	m.mu.Unlock()
 
 	m.probeCount.Add(1)
-	err := m.target.maintRepair()
+	err := maintRepair(m.target)
 	if err == nil {
-		err = m.target.maintProbe()
+		err = maintProbe(m.target)
 	}
 	if err != nil {
 		m.probeFailures.Add(1)
@@ -439,7 +442,7 @@ func (m *maintainer) scrubTick(now time.Time) {
 
 	// The cursor is only ever touched by tick (single goroutine), so the
 	// target may mutate it outside m.mu.
-	res := m.target.maintScrub(s, budget)
+	res := maintScrub(m.target, s, budget)
 	m.scrubPageCount.Add(int64(res.pages))
 	m.scrubCorruptCount.Add(int64(res.corruptions))
 	if res.passDone {
@@ -494,8 +497,12 @@ func (m *maintainer) scrubTick(now time.Time) {
 	}
 }
 
-// telemetry snapshots the loop for the obs/netq maintenance section.
-func (m *maintainer) telemetry() obs.MaintenanceTelemetry {
+// telemetry snapshots the loop for the obs/netq maintenance section; ok
+// is false when no loop is running (a nil maintainer).
+func (m *maintainer) telemetry() (obs.MaintenanceTelemetry, bool) {
+	if m == nil {
+		return obs.MaintenanceTelemetry{}, false
+	}
 	now := m.now()
 	t := obs.MaintenanceTelemetry{
 		Ticks:                m.ticks.Load(),
@@ -524,11 +531,15 @@ func (m *maintainer) telemetry() obs.MaintenanceTelemetry {
 	t.LastScrubError = m.lastScrubErr
 	t.ScrubCursor = int64(len(m.scrub.walk.seen))
 	m.mu.Unlock()
-	return t
+	return t, true
 }
 
-// registerMetrics exposes the loop's counters in a metric registry.
-func (m *maintainer) registerMetrics(reg *obs.Registry) {
+// registerMetrics exposes the loop's counters in a metric registry,
+// reporting whether a loop was running to register.
+func (m *maintainer) registerMetrics(reg *obs.Registry) bool {
+	if m == nil {
+		return false
+	}
 	reg.SetHelp("dynq_maintenance_ticks_total", "Maintenance loop iterations.")
 	reg.SetHelp("dynq_maintenance_checkpoints_total", "Policy-driven WAL checkpoints completed by the maintenance loop.")
 	reg.SetHelp("dynq_maintenance_checkpoint_failures_total", "Policy-driven WAL checkpoints that failed.")
@@ -553,6 +564,7 @@ func (m *maintainer) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("dynq_scrub_pages_total", func() float64 { return float64(m.scrubPageCount.Load()) })
 	reg.GaugeFunc("dynq_scrub_corruptions_total", func() float64 { return float64(m.scrubCorruptCount.Load()) })
 	reg.GaugeFunc("dynq_scrub_passes_total", func() float64 { return float64(m.scrubPassCount.Load()) })
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -687,180 +699,111 @@ func scrubStep(store pager.Store, w *scrubWalk, budget int) scrubResult {
 }
 
 // ---------------------------------------------------------------------
-// DB: the single-tree maintainable.
+// The engine half: shared over each engine's units. *DB and *ShardedDB
+// differ only in the accessors below.
 
-func (db *DB) maintHealth() *degradeState { return &db.health }
-
-func (db *DB) maintLogs() []maintLogStat {
-	if db.wal == nil {
-		return nil
-	}
-	return []maintLogStat{{liveBytes: db.wal.LiveBytes(), lag: db.wal.CheckpointLag()}}
+func (db *DB) units() ([]*rtree.Tree, []pager.Store, []*wal.Log) {
+	return []*rtree.Tree{db.tree}, []pager.Store{db.store}, db.logs()
 }
 
-func (db *DB) maintCheckpoint([]int) error { return db.Sync() }
-
-func (db *DB) maintRepair() error {
-	if db.wal != nil {
-		if err := db.wal.RetrySync(); err != nil {
-			return fmt.Errorf("dynq: probe retry sync: %w", err)
-		}
+func (db *ShardedDB) units() ([]*rtree.Tree, []pager.Store, []*wal.Log) {
+	trees := make([]*rtree.Tree, db.engine.Shards())
+	stores := make([]pager.Store, len(trees))
+	for i := range trees {
+		trees[i], stores[i] = db.engine.Shard(i).Tree, db.engine.Shard(i).Store()
 	}
-	if v, ok := db.store.(interface{ VerifyHeader() error }); ok {
-		if err := v.VerifyHeader(); err != nil {
-			return fmt.Errorf("dynq: probe header check: %w", err)
-		}
-	}
-	return nil
+	return trees, stores, db.wals
 }
 
-// maintApply runs a batch through the ungated write path (the probe
-// writes while the database is degraded).
-func (db *DB) maintApply(ctx context.Context, ups []MotionUpdate, opts WriteOptions) error {
-	ws := beginWriteSpan(ctx)
-	err := db.applyUpdates(ctx, ups, opts, &ws, false)
-	ws.finish(len(ups), err)
-	return err
-}
+func (db *DB) maintLock() *sync.RWMutex        { return &db.mu }
+func (db *ShardedDB) maintLock() *sync.RWMutex { return &db.mu }
 
-func (db *DB) maintProbe() error {
-	ctx := context.Background()
-	pt := make([]float64, db.Dims())
-	ins := []MotionUpdate{{ID: maintProbeID, Segment: Segment{From: pt, To: pt}}}
-	del := []MotionUpdate{{ID: maintProbeID, Delete: true}}
-	// Clear a probe segment a previously half-failed probe left behind.
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	opts := WriteOptions{}
-	if db.wal != nil {
-		opts.Durability = DurabilitySync
-	}
-	if err := db.maintApply(ctx, ins, opts); err != nil {
-		return err
-	}
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil {
-		return err
-	}
-	// Prove the checkpoint path too: degradations caused by a failed
-	// Sync must not heal while Sync still fails — and the checkpoint
-	// truncates the probe records out of the log.
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.syncLocked()
-}
-
-func (db *DB) maintScrub(s *scrubState, budget int) scrubResult {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	res := scrubStep(db.store, &s.walk, budget)
-	res.passDone = res.unitDone
-	return res
-}
-
-// MaintenanceTelemetry returns the self-healing loop's snapshot; ok is
-// false when no maintenance loop is running.
-func (db *DB) MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool) {
-	if db.maint == nil {
-		return obs.MaintenanceTelemetry{}, false
-	}
-	return db.maint.telemetry(), true
-}
-
-// RegisterMaintenanceMetrics exposes the maintenance loop's counters in
-// a metric registry, reporting whether a loop was running to register.
-func (db *DB) RegisterMaintenanceMetrics(reg *obs.Registry) bool {
-	if db.maint == nil {
-		return false
-	}
-	db.maint.registerMetrics(reg)
-	return true
-}
-
-// ---------------------------------------------------------------------
-// ShardedDB: the sharded maintainable.
-
+func (db *DB) maintHealth() *degradeState        { return &db.health }
 func (db *ShardedDB) maintHealth() *degradeState { return &db.health }
 
-func (db *ShardedDB) maintLogs() []maintLogStat {
-	if db.wals == nil {
-		return nil
-	}
-	out := make([]maintLogStat, len(db.wals))
-	for i, w := range db.wals {
+// lockedUnits is units under the shared database lock, for callers that
+// do not hold it.
+func lockedUnits(t maintainable) ([]*rtree.Tree, []pager.Store, []*wal.Log) {
+	mu := t.maintLock()
+	mu.RLock()
+	defer mu.RUnlock()
+	return t.units()
+}
+
+// maintLogs reports each armed log's live bytes and record lag, in log
+// order; empty without a WAL.
+func maintLogs(t maintainable) []maintLogStat {
+	_, _, logs := lockedUnits(t)
+	out := make([]maintLogStat, len(logs))
+	for i, w := range logs {
 		out[i] = maintLogStat{liveBytes: w.LiveBytes(), lag: w.CheckpointLag()}
 	}
 	return out
 }
 
-// maintCheckpoint checkpoints only the listed shards (already worst
-// pressure first), paying for the lagging logs instead of all of them.
-func (db *ShardedDB) maintCheckpoint(idx []int) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.health.gate(); err != nil {
-		return err
-	}
-	for _, i := range idx {
-		if _, err := db.syncShardLocked(i); err != nil {
-			return err
-		}
-	}
-	return db.health.note(nil)
-}
-
-func (db *ShardedDB) maintRepair() error {
-	for i, w := range db.wals {
+// maintRepair clears recoverable fault state before a probe: sticky log
+// sync errors are retried and every page file header re-verified.
+func maintRepair(t maintainable) error {
+	_, stores, logs := lockedUnits(t)
+	for i, w := range logs {
 		if err := w.RetrySync(); err != nil {
-			return fmt.Errorf("dynq: probe retry sync (shard %d): %w", i, err)
+			return fmt.Errorf("dynq: probe retry sync%s: %w", shardTag(i, len(logs)), err)
 		}
 	}
-	for i := 0; i < db.engine.Shards(); i++ {
-		if v, ok := db.engine.Shard(i).Store().(interface{ VerifyHeader() error }); ok {
+	for i, st := range stores {
+		if v, ok := st.(interface{ VerifyHeader() error }); ok {
 			if err := v.VerifyHeader(); err != nil {
-				return fmt.Errorf("dynq: probe header check (shard %d): %w", i, err)
+				return fmt.Errorf("dynq: probe header check%s: %w", shardTag(i, len(stores)), err)
 			}
 		}
 	}
 	return nil
 }
 
-func (db *ShardedDB) maintApply(ctx context.Context, ups []MotionUpdate, opts WriteOptions) error {
-	ws := beginWriteSpan(ctx)
-	err := db.applyUpdates(ctx, ups, opts, &ws, false)
-	ws.finish(len(ups), err)
-	return err
-}
-
-func (db *ShardedDB) maintProbe() error {
+// maintProbe attempts the self-canceling durable write (insert + delete
+// of the reserved probe id) through the ungated write path, then a
+// checkpoint: degradations caused by a failed Sync must not heal while
+// Sync still fails — and the checkpoint truncates the probe records out
+// of the log.
+func maintProbe(t maintainable) error {
 	ctx := context.Background()
-	pt := make([]float64, db.dims)
+	apply := func(ups []MotionUpdate, d Durability) error {
+		return t.applyUpdates(ctx, ups, WriteOptions{Durability: d}, &writeSpan{}, false)
+	}
+	pt := make([]float64, t.Dims())
 	ins := []MotionUpdate{{ID: maintProbeID, Segment: Segment{From: pt, To: pt}}}
 	del := []MotionUpdate{{ID: maintProbeID, Delete: true}}
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil && !errors.Is(err, ErrNotFound) {
+	// Clear a probe segment a previously half-failed probe left behind.
+	if err := apply(del, DurabilityDefault); err != nil && !errors.Is(err, ErrNotFound) {
 		return err
 	}
-	opts := WriteOptions{}
-	if db.wals != nil {
-		opts.Durability = DurabilitySync
+	d := DurabilityDefault
+	if _, _, logs := lockedUnits(t); logs != nil {
+		d = DurabilitySync
 	}
-	if err := db.maintApply(ctx, ins, opts); err != nil {
+	if err := apply(ins, d); err != nil {
 		return err
 	}
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil {
+	if err := apply(del, DurabilityDefault); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.syncLocked()
+	mu := t.maintLock()
+	mu.Lock()
+	defer mu.Unlock()
+	return checkpointLocked(t, nil)
 }
 
-func (db *ShardedDB) maintScrub(s *scrubState, budget int) scrubResult {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+// maintScrub verifies up to budget reachable pages under the database's
+// exclusive lock, walking the units in order and advancing the cursor in
+// s; a pass is done when the last unit's walk completes.
+func maintScrub(t maintainable, s *scrubState, budget int) scrubResult {
+	mu := t.maintLock()
+	mu.Lock()
+	defer mu.Unlock()
+	_, stores, _ := t.units()
 	var total scrubResult
 	for budget > 0 {
-		r := scrubStep(db.engine.Shard(s.unit).Store(), &s.walk, budget)
+		r := scrubStep(stores[s.unit], &s.walk, budget)
 		total.add(r)
 		if r.err != nil {
 			total.err = r.err
@@ -872,7 +815,7 @@ func (db *ShardedDB) maintScrub(s *scrubState, budget int) scrubResult {
 		}
 		s.unit++
 		s.walk = scrubWalk{}
-		if s.unit >= db.engine.Shards() {
+		if s.unit >= len(stores) {
 			s.unit = 0
 			total.passDone = true
 			break
@@ -883,21 +826,24 @@ func (db *ShardedDB) maintScrub(s *scrubState, budget int) scrubResult {
 
 // MaintenanceTelemetry returns the self-healing loop's snapshot; ok is
 // false when no maintenance loop is running.
+func (db *DB) MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool) { return db.maint.telemetry() }
+
+// MaintenanceTelemetry returns the self-healing loop's snapshot; ok is
+// false when no maintenance loop is running.
 func (db *ShardedDB) MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool) {
-	if db.maint == nil {
-		return obs.MaintenanceTelemetry{}, false
-	}
-	return db.maint.telemetry(), true
+	return db.maint.telemetry()
+}
+
+// RegisterMaintenanceMetrics exposes the maintenance loop's counters in
+// a metric registry, reporting whether a loop was running to register.
+func (db *DB) RegisterMaintenanceMetrics(reg *obs.Registry) bool {
+	return db.maint.registerMetrics(reg)
 }
 
 // RegisterMaintenanceMetrics exposes the maintenance loop's counters in
 // a metric registry, reporting whether a loop was running to register.
 func (db *ShardedDB) RegisterMaintenanceMetrics(reg *obs.Registry) bool {
-	if db.maint == nil {
-		return false
-	}
-	db.maint.registerMetrics(reg)
-	return true
+	return db.maint.registerMetrics(reg)
 }
 
 // Compile-time checks.

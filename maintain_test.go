@@ -19,16 +19,16 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.dynq")
-	walPath := path + ".wal"
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	mopts.Interval = -1 // manual ticks
-	if err := rebuildFileWAL(path, walPath, nil, 0); err != nil {
+	if err := freshWAL(path, 1, 0); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	db, fs, faults, _, err := openChaos(path, walPath, 0, mopts, clk.Now, nil)
+	db, faults, _, err := openChaos(path, 0, mopts, clk.Now, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	fs := faults.Inner.(*pager.FileStore)
 	t.Cleanup(func() { db.Close() })
 	if db.maint == nil {
 		t.Fatal("maintenance loop did not start")
@@ -247,16 +247,15 @@ func TestScrubDetectsCorruptionAndHoldsDegraded(t *testing.T) {
 func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.dynq")
-	walPath := path + ".wal"
 	// A page buffer keeps uncommitted tree writes off the committed
 	// file, so the post-crash state is exactly "failed checkpoint":
 	// old committed tree + intact log.
 	const bufPages = 256
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	if err := rebuildFileWAL(path, walPath, nil, bufPages); err != nil {
+	if err := freshWAL(path, 1, bufPages); err != nil {
 		t.Fatal(err)
 	}
-	db, fs, faults, _, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db, faults, _, err := openChaos(path, bufPages, MaintenanceOptions{}, clk.Now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +291,10 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 
 	// Crash with the page file mid-flush: recovery must replay batch B
 	// from the log the failed checkpoint left intact.
-	if err := chaosCrash(db, fs); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
-	db2, _, _, rep, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db2, _, rep, err := openChaos(path, bufPages, MaintenanceOptions{}, clk.Now, nil)
 	if err != nil {
 		t.Fatalf("reopen after failed checkpoint + crash: %v", err)
 	}

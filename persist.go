@@ -9,6 +9,7 @@ import (
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
+	"dynq/internal/wal"
 )
 
 // The database's shape metadata is stored in the page file's header so a
@@ -140,67 +141,116 @@ type auxStore interface {
 // read-only (see Degraded) — and with a WAL armed, a single Sync failure
 // degrades immediately: the log would otherwise grow unboundedly while
 // silent retries mask a checkpoint that can never advance.
-func (db *DB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeGate(); err != nil {
+func (db *DB) Sync() error { return syncUnits(db, nil) }
+
+// syncUnits checkpoints the listed units of db (every unit when idx is
+// nil) under the engine's exclusive lock, refusing while degraded. It is
+// Sync on both engines and the auto-checkpoint policy's unit, which
+// passes only the logs past a threshold, worst pressure first. Writers
+// are excluded — DB writers hold the lock exclusively, sharded writers
+// hold it shared — which is exactly Checkpoint's no-concurrent-Append
+// precondition.
+func syncUnits(db maintainable, idx []int) error {
+	mu := db.maintLock()
+	mu.Lock()
+	defer mu.Unlock()
+	if err := db.maintHealth().gate(); err != nil {
 		return err
 	}
-	return db.syncLocked()
+	return checkpointLocked(db, idx)
 }
 
-// syncLocked is Sync's body without the degraded-mode gate, under the
-// already-held exclusive lock. The maintenance loop uses it directly:
-// auto-checkpoints run it through the gate via Sync, while the recovery
-// probe must flush and commit exactly while the database is degraded.
-func (db *DB) syncLocked() error {
-	var lsn uint64
-	if db.wal != nil {
-		lsn = db.wal.LastLSN()
-	}
-	if err := db.tree.Pool().Flush(); err != nil {
-		return db.syncFailure("flush pages", err)
-	}
-	if s, ok := db.store.(auxStore); ok {
-		if err := s.SetAux(encodeMeta(db.tree.Meta(), lsn)); err != nil {
-			return db.syncFailure("stage metadata", err)
+// checkpointLocked is syncUnits without the degraded-mode gate, under the
+// already-held exclusive lock; the recovery probe commits through it
+// while the database is still degraded. A crash between unit i's commit
+// and unit j's leaves log j longer than necessary, never inconsistent:
+// each unit's metadata and log agree pairwise, and recovery replays each
+// pair independently.
+func checkpointLocked(db maintainable, idx []int) error {
+	trees, stores, logs := db.units()
+	if idx == nil {
+		idx = make([]int, len(trees))
+		for i := range idx {
+			idx[i] = i
 		}
 	}
-	if err := db.store.Sync(); err != nil {
-		return db.syncFailure("commit", err)
-	}
-	if db.wal != nil {
-		truncated := db.wal.LiveBytes()
-		start := time.Now()
-		if err := db.wal.Checkpoint(lsn); err != nil {
-			return db.syncFailure("wal checkpoint", err)
+	start := time.Now()
+	var truncated int64
+	for _, i := range idx {
+		var log *wal.Log
+		if logs != nil {
+			log = logs[i]
 		}
+		n, err := checkpoint(db.maintHealth(), trees[i], stores[i], log, i, len(trees))
+		if err != nil {
+			return err
+		}
+		truncated += n
+	}
+	if logs != nil {
 		obs.DefaultJournal().Record(obs.EventCheckpoint, obs.SeverityInfo,
 			"wal checkpoint committed; log truncated",
 			map[string]string{
-				"lsn":             strconv.FormatUint(lsn, 10),
+				"logs":            strconv.Itoa(len(idx)),
 				"truncated_bytes": strconv.FormatInt(truncated, 10),
 				"duration":        time.Since(start).String(),
 			})
 	}
-	return db.noteWriteResult(nil)
+	return db.maintHealth().note(nil)
 }
 
-// syncFailure classifies a failed Sync stage. Without a WAL it feeds the
-// ordinary consecutive-failure degradation counter. With a WAL armed it
-// degrades the database to read-only IMMEDIATELY and journals the event:
-// writers keep appending to a log whose checkpoint cannot advance, so
-// "retry later" silently trades durability for an unbounded log.
-func (db *DB) syncFailure(stage string, cause error) error {
-	err := wrapDiskFull(fmt.Errorf("dynq: %s: %w", stage, cause))
-	if db.wal == nil {
-		return db.noteWriteResult(err)
+// checkpoint persists unit i of n: flush the tree's dirty pages, commit
+// its metadata carrying the log's highest applied LSN (atomic dual-header
+// commit), then truncate the log to that LSN, returning the log bytes
+// truncated. Without a log it is a plain flush and commit, and a failure
+// feeds the consecutive-failure counter. With a log armed a failed stage
+// degrades the database to read-only IMMEDIATELY and journals it:
+// writers would keep appending to a log whose checkpoint cannot advance,
+// so "retry later" silently trades durability for an unbounded log.
+func checkpoint(health *degradeState, tree *rtree.Tree, store pager.Store, log *wal.Log, i, n int) (int64, error) {
+	var lsn uint64
+	if log != nil {
+		lsn = log.LastLSN()
+	}
+	stage, err := "flush pages", tree.Pool().Flush()
+	if s, ok := store.(auxStore); ok && err == nil {
+		stage, err = "stage metadata", s.SetAux(encodeMeta(tree.Meta(), lsn))
+	}
+	if err == nil {
+		stage, err = "commit", store.Sync()
+	}
+	var truncated int64
+	if log != nil && err == nil {
+		truncated = log.LiveBytes()
+		stage, err = "wal checkpoint", log.Checkpoint(lsn)
+	}
+	if err == nil {
+		return truncated, nil
+	}
+	werr := wrapDiskFull(fmt.Errorf("dynq: %s%s: %w", stage, shardTag(i, n), err))
+	if log == nil {
+		return 0, health.note(werr)
 	}
 	obs.DefaultJournal().Record(obs.EventSyncFailure, obs.SeverityError,
 		"checkpoint sync failed with WAL armed; degrading to read-only",
-		map[string]string{"stage": stage, "error": cause.Error()})
-	db.health.set(true)
-	return err
+		map[string]string{"shard": strconv.Itoa(i), "stage": stage, "error": err.Error()})
+	health.set(true)
+	return 0, werr
+}
+
+// commitBase commits a freshly created tree's empty base state to a
+// file-backed store at once: a crash before the first Sync must leave an
+// openable (empty) file — with a WAL armed, that base is what replay
+// rebuilds from. Memory stores have nothing to commit.
+func commitBase(tree *rtree.Tree, store pager.Store) error {
+	fs, ok := store.(*pager.FileStore)
+	if !ok {
+		return nil
+	}
+	if err := fs.SetAux(encodeMeta(tree.Meta(), 0)); err != nil {
+		return err
+	}
+	return fs.Sync()
 }
 
 // OpenFile reattaches a database previously created with Options.Path

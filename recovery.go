@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"dynq/internal/geom"
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
@@ -143,12 +142,7 @@ func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport
 			walPath = sidecar
 		}
 	}
-	bufferPages := opts.BufferPages
-	if walPath != "" && bufferPages == 0 {
-		// Same default as Open: a logged database buffers dirty pages so
-		// crashes cannot tear the committed base the log replays onto.
-		bufferPages = defaultWALBufferPages
-	}
+	bufferPages := walBufferPages(opts.BufferPages, walPath != "")
 	if bufferPages > 0 {
 		if err := db.tree.UseBuffer(bufferPages); err != nil {
 			db.Close()
@@ -157,7 +151,9 @@ func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport
 		db.bufferPages = bufferPages
 	}
 	if walPath != "" {
-		if err := db.armWAL(walPath, opts.GroupCommitWindow, rep); err != nil {
+		db.wal, err = replayLog(walPath, wal.Options{GroupCommitWindow: opts.GroupCommitWindow},
+			db.tree, db.cfg.Dims, 0, 1, db.appliedLSN, rep)
+		if err != nil {
 			db.Close()
 			return nil, nil, err
 		}
@@ -166,43 +162,41 @@ func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport
 	return db, rep, nil
 }
 
-// armWAL opens (or creates) the write-ahead log, replays every record
-// the committed page state has not yet absorbed, and attaches the log so
-// subsequent writes append to it. Replay happens before the database is
-// visible, so no locking is needed; deletes of missing segments are
-// tolerated (the segment may have died to a later record before the
-// crash). The replayed state lives in memory until the next Sync
-// checkpoints it — exactly like writes that never crashed.
-func (db *DB) armWAL(path string, window time.Duration, rep *RecoveryReport) error {
-	return db.armWALWith(path, wal.Options{GroupCommitWindow: window}, rep)
-}
-
-// armWALWith is armWAL with the full log option set; the chaos soak uses
-// it to interpose a fault hook on the log's physical writes.
-func (db *DB) armWALWith(path string, wopts wal.Options, rep *RecoveryReport) error {
+// replayLog opens (or creates) the log of unit i of n at path, replays
+// every record past appliedLSN onto tree, and returns the armed log — the
+// one replay path of both engines, a single tree being shard 0 of 1.
+// Replay happens before the database is visible, so no locking is
+// needed; deletes of missing segments are tolerated (the segment may
+// have died to a later record before the crash). Every replayed object
+// must place on shard i: a record routing elsewhere means the log was
+// written under a different shard count, and replaying it would
+// materialize objects on the wrong shard. The replayed state lives in
+// memory until the next Sync checkpoints it — exactly like writes that
+// never crashed.
+func replayLog(path string, wopts wal.Options, tree *rtree.Tree, dims, i, n int, appliedLSN uint64, rep *RecoveryReport) (*wal.Log, error) {
+	tag := shardTag(i, n)
 	w, scan, err := wal.Open(path, wopts)
 	if err != nil {
-		return fmt.Errorf("dynq: open wal: %w", err)
+		return nil, fmt.Errorf("dynq: open wal%s: %w", tag, err)
 	}
 	records, updates := 0, 0
-	err = w.Replay(db.appliedLSN, func(lsn uint64, payload []byte) error {
-		ups, derr := decodeUpdates(payload, db.cfg.Dims)
-		if derr != nil {
-			return fmt.Errorf("%w: wal record %d: %v", ErrCorrupt, lsn, derr)
+	err = w.Replay(appliedLSN, func(lsn uint64, payload []byte) error {
+		ups, err := decodeUpdates(payload, dims)
+		if err != nil {
+			return fmt.Errorf("%w: wal record %d%s: %v", ErrCorrupt, lsn, tag, err)
 		}
-		segs := make([]geom.Segment, len(ups))
-		for i, u := range ups {
-			if u.Delete {
-				continue
-			}
-			g, serr := toSegmentDims(u.Segment, db.cfg.Dims)
-			if serr != nil {
-				return fmt.Errorf("%w: wal record %d: %v", ErrCorrupt, lsn, serr)
-			}
-			segs[i] = g
+		parts, segs, err := partitionBatch(ups, dims, n)
+		if err != nil {
+			return fmt.Errorf("%w: wal record %d%s: %v", ErrCorrupt, lsn, tag, err)
 		}
-		if aerr := db.applyLocked(ups, segs, true); aerr != nil {
-			return fmt.Errorf("dynq: wal replay record %d: %w", lsn, aerr)
+		for s, p := range parts {
+			if s != i && len(p) > 0 {
+				return fmt.Errorf("%w: wal record %d%s routes object %d to shard %d — log written under a different shard count?",
+					ErrCorrupt, lsn, tag, p[0].ID, s)
+			}
+		}
+		if err := applyToTree(tree, ups, segs[i], true); err != nil {
+			return fmt.Errorf("dynq: wal replay record %d%s: %w", lsn, tag, err)
 		}
 		records++
 		updates += len(ups)
@@ -210,9 +204,8 @@ func (db *DB) armWALWith(path string, wopts wal.Options, rep *RecoveryReport) er
 	})
 	if err != nil {
 		w.Close()
-		return err
+		return nil, err
 	}
-	db.wal = w
 	if rep != nil {
 		rep.WALArmed = true
 		rep.WALCheckpointLSN = scan.Checkpoint
@@ -226,18 +219,19 @@ func (db *DB) armWALWith(path string, wopts wal.Options, rep *RecoveryReport) er
 			sev = obs.SeverityWarn
 		}
 		obs.DefaultJournal().Record(obs.EventWALReplay, sev,
-			fmt.Sprintf("wal replay: %d records (%d updates) past checkpoint %d, torn tail: %v",
-				records, updates, scan.Checkpoint, scan.TornTail),
+			fmt.Sprintf("wal replay%s: %d records (%d updates) past checkpoint %d, torn tail: %v",
+				tag, records, updates, scan.Checkpoint, scan.TornTail),
 			map[string]string{
+				"shard":       strconv.Itoa(i),
 				"records":     strconv.Itoa(records),
 				"updates":     strconv.Itoa(updates),
 				"checkpoint":  strconv.FormatUint(scan.Checkpoint, 10),
 				"torn_tail":   strconv.FormatBool(scan.TornTail),
 				"last_lsn":    strconv.FormatUint(scan.LastLSN, 10),
-				"applied_lsn": strconv.FormatUint(db.appliedLSN, 10),
+				"applied_lsn": strconv.FormatUint(appliedLSN, 10),
 			})
 	}
-	return nil
+	return w, nil
 }
 
 // recoverFileStore verifies the committed state of fs and builds a DB

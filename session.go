@@ -99,11 +99,7 @@ func (s *PredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Close releases the session (and its live-update subscription).
@@ -153,11 +149,7 @@ func (s *NonPredictiveSession) Snapshot(view Rect, t0, t1 float64) ([]Result, er
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Reset forgets the previous snapshot (observer teleported): the next

@@ -2,6 +2,7 @@ package dynq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -115,13 +116,7 @@ func OpenSharded(opts ShardOptions) (*ShardedDB, error) {
 			return nil, fmt.Errorf("dynq: sharded database files already exist at %q (found %s): use OpenShardedRecover to reopen, or remove them for a fresh database", opts.Path, existing[0])
 		}
 	}
-	bufferPages := opts.BufferPages
-	if opts.WAL && bufferPages == 0 {
-		// Same rationale as the single-tree WAL default: with a log armed,
-		// an unbuffered tree would write every dirty page straight through,
-		// defeating the point of logging before checkpointing.
-		bufferPages = defaultWALBufferPages
-	}
+	bufferPages := walBufferPages(opts.BufferPages, opts.WAL)
 	storeFor := func(i int) (pager.Store, error) {
 		if opts.Path == "" {
 			return pager.NewMemStore(), nil
@@ -138,32 +133,18 @@ func OpenSharded(opts ShardOptions) (*ShardedDB, error) {
 	}
 	db := &ShardedDB{engine: engine, dims: cfg.Dims, path: opts.Path}
 	db.health.after = int32(opts.DegradeAfter)
-	if opts.WAL {
-		// Commit each shard's empty base state BEFORE arming its log, so a
-		// crash between open and the first Sync recovers an empty tree and
-		// replays the log against it — never a zero-length unrecoverable
-		// file (the same ordering Open uses for the single-tree WAL).
-		for i := 0; i < opts.Shards; i++ {
-			sh := engine.Shard(i)
-			fs, ok := sh.Store().(auxStore)
-			if !ok {
-				engine.Close()
-				return nil, fmt.Errorf("dynq: shard %d store cannot persist metadata", i)
-			}
-			if err := fs.SetAux(encodeMeta(sh.Tree.Meta(), 0)); err != nil {
-				engine.Close()
-				return nil, err
-			}
-			if err := sh.Store().Sync(); err != nil {
-				engine.Close()
-				return nil, err
-			}
+	for i := 0; i < opts.Shards; i++ {
+		if err := commitBase(engine.Shard(i).Tree, engine.Shard(i).Store()); err != nil {
+			engine.Close()
+			return nil, err
 		}
+	}
+	if opts.WAL {
 		db.wals = make([]*wal.Log, opts.Shards)
 		for i := range db.wals {
 			w, err := wal.Create(shardWALPath(opts.Path, i), wal.Options{GroupCommitWindow: opts.GroupCommitWindow})
 			if err != nil {
-				db.closeWALs()
+				closeLogs(db.wals)
 				engine.Close()
 				return nil, err
 			}
@@ -201,28 +182,12 @@ func existingShardFiles(path string) ([]string, error) {
 	return files, nil
 }
 
-func (db *ShardedDB) closeWALs() error {
-	var first error
-	for _, w := range db.wals {
-		if w == nil {
-			continue
-		}
-		if err := w.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Close shuts the worker pool down and releases every shard's store and
 // log.
 func (db *ShardedDB) Close() error {
 	db.maint.stop()
 	err := db.engine.Close()
-	if werr := db.closeWALs(); werr != nil && err == nil {
-		err = werr
-	}
-	return err
+	return errors.Join(err, closeLogs(db.wals))
 }
 
 // Dims returns the spatial dimensionality.
@@ -301,84 +266,26 @@ func (db *ShardedDB) ApplyUpdates(ctx context.Context, updates []MotionUpdate, o
 
 // applyUpdates is the batch write path. gated controls the degraded
 // read-only check; the maintenance probe passes false to attempt a write
-// while the database is degraded.
+// while the database is degraded. The batch is partitioned by owner
+// shard, and each touched shard — under its own write lock, on the
+// engine's worker pool — runs the shared appendAndApply on its part
+// (validate, append when logs are armed, apply). The durability wait
+// runs after every shard lock is released.
 func (db *ShardedDB) applyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions, ws *writeSpan, gated bool) error {
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.engine.CostSnapshot)
 	defer finish()
 	// db.wals is immutable after open: requesting an explicit durability
 	// level with no logs armed fails here, before anything is applied.
 	if err := checkDurability(opts.Durability, db.wals != nil); err != nil {
 		return err
 	}
-	if db.wals == nil {
-		return db.applyUnlogged(ctx, updates, ws, gated)
-	}
-	return db.applyLogged(ctx, updates, opts, ws, gated)
-}
-
-// applyUnlogged is the in-memory write path: one engine batch, no log.
-func (db *ShardedDB) applyUnlogged(ctx context.Context, updates []MotionUpdate, ws *writeSpan, gated bool) error {
+	n := db.engine.Shards()
 	mark := ws.now()
-	ups := make([]shard.Update, len(updates))
-	for i, u := range updates {
-		if u.Delete {
-			ups[i] = shard.Update{ID: rtree.ObjectID(u.ID), T0: u.Segment.T0, Delete: true}
-			continue
-		}
-		g, err := toSegmentDims(u.Segment, db.dims)
-		if err != nil {
-			return err
-		}
-		ups[i] = shard.Update{ID: rtree.ObjectID(u.ID), Seg: g}
-	}
+	parts, segs, err := partitionBatch(updates, db.dims, n)
 	ws.stage(stageValidate, ws.since(mark))
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if gated {
-		if err := db.health.gate(); err != nil {
-			return err
-		}
-	}
-	mark = ws.now()
-	err := db.engine.ApplyBatch(ups)
-	ws.stage(stageTreeApply, ws.since(mark))
-	if err == rtree.ErrNotFound {
-		// A missing segment is an answer, not a storage failure.
-		return ErrNotFound
-	}
-	return db.health.note(err)
-}
-
-// applyLogged is the durable write path: the batch is partitioned by
-// owner shard, and each touched shard — under its own write lock, on the
-// engine's worker pool — validates its sub-batch, appends it to its log
-// as one record (write-ahead), and applies it to its tree. The
-// durability wait runs after every shard lock is released, in parallel
-// across the touched logs.
-func (db *ShardedDB) applyLogged(ctx context.Context, updates []MotionUpdate, opts WriteOptions, ws *writeSpan, gated bool) error {
-	nShards := db.engine.Shards()
-	mark := ws.now()
-	parts := make([][]MotionUpdate, nShards)
-	partSegs := make([][]geom.Segment, nShards)
-	touched := make([]bool, nShards)
-	for _, u := range updates {
-		var g geom.Segment
-		if !u.Delete {
-			var err error
-			g, err = toSegmentDims(u.Segment, db.dims)
-			if err != nil {
-				return err
-			}
-		}
-		s := shard.Place(rtree.ObjectID(u.ID), nShards)
-		parts[s] = append(parts[s], u)
-		partSegs[s] = append(partSegs[s], g)
-		touched[s] = true
-	}
-	ws.stage(stageValidate, ws.since(mark))
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -393,70 +300,29 @@ func (db *ShardedDB) applyLogged(ctx context.Context, updates []MotionUpdate, op
 		db.mu.RUnlock()
 		return err
 	}
+	touched := make([]bool, n)
+	for i, p := range parts {
+		touched[i] = len(p) > 0
+	}
 	// lsns[i] records shard i's appended record (0 = shard untouched or
-	// its append failed); the durability wait below covers exactly these.
-	lsns := make([]uint64, nShards)
-	var walNS atomic.Int64
+	// unlogged); the durability wait covers exactly these.
+	lsns := make([]uint64, n)
+	var checkNS, appendNS atomic.Int64
 	mark = ws.now()
-	err := db.engine.UpdateShards(touched, func(i int, sh *shard.Shard) error {
-		if err := validateDeletesOn(sh.Tree, parts[i]); err != nil {
-			return err
+	err = db.engine.UpdateShards(touched, func(i int, sh *shard.Shard) error {
+		var log *wal.Log
+		if db.wals != nil {
+			log = db.wals[i]
 		}
-		t := time.Now()
-		lsn, werr := db.wals[i].Append(encodeUpdates(db.dims, parts[i]))
-		walNS.Add(time.Since(t).Nanoseconds())
-		if werr != nil {
-			return fmt.Errorf("dynq: wal append (shard %d): %w", i, werr)
-		}
+		lsn, check, appendDur, err := appendAndApply(ws, sh.Tree, log, db.dims, parts[i], segs[i])
 		lsns[i] = lsn
-		return applyToTree(sh.Tree, parts[i], partSegs[i], false)
+		checkNS.Add(int64(check))
+		appendNS.Add(int64(appendDur))
+		return err
 	})
-	total := ws.since(mark)
-	walDur := time.Duration(walNS.Load())
-	ws.stage(stageWALAppend, walDur)
-	if total > walDur {
-		ws.stage(stageTreeApply, total-walDur)
-	} else {
-		ws.stage(stageTreeApply, total)
-	}
+	ws.applyStages(ws.since(mark), time.Duration(checkNS.Load()), time.Duration(appendNS.Load()), db.wals != nil)
 	db.mu.RUnlock()
-	if err != nil {
-		if err == ErrNotFound || err == rtree.ErrNotFound {
-			return ErrNotFound
-		}
-		return db.health.note(err)
-	}
-	// The durability wait runs OUTSIDE every lock: an fsync never blocks
-	// readers or a checkpoint, and concurrent writers pile into each
-	// log's group-commit round. Touched logs sync in parallel — the wait
-	// is the slowest shard, not the sum.
-	if opts.Durability != DurabilityAsync {
-		mark = ws.now()
-		werrs := make([]error, nShards)
-		var wg sync.WaitGroup
-		for i := range lsns {
-			if lsns[i] == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if opts.Durability == DurabilitySync {
-					werrs[i] = db.wals[i].SyncNow(lsns[i])
-				} else {
-					werrs[i] = db.wals[i].Sync(lsns[i])
-				}
-			}(i)
-		}
-		wg.Wait()
-		ws.stage(stageFsyncWait, ws.since(mark))
-		for i, werr := range werrs {
-			if werr != nil {
-				return db.health.note(fmt.Errorf("dynq: wal commit (shard %d): %w", i, werr))
-			}
-		}
-	}
-	return db.health.note(nil)
+	return finishWrite(&db.health, err, opts.Durability, db.wals, lsns, ws)
 }
 
 // BulkLoad partitions the segment set by owner shard and bulk-loads every
@@ -478,18 +344,11 @@ func (db *ShardedDB) BulkLoadUpdates(updates []MotionUpdate) error {
 // must contain no deletions. Unlike the per-shard data writes it holds
 // the database lock exclusively: every shard's tree is swapped at once.
 func (db *ShardedDB) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.engine.CostSnapshot)
 	defer finish()
-	entries := make([]rtree.LeafEntry, len(updates))
-	for i, u := range updates {
-		if u.Delete {
-			return fmt.Errorf("dynq: BulkLoad batch contains a deletion (object %d); deletions need an existing index", u.ID)
-		}
-		g, err := toSegmentDims(u.Segment, db.dims)
-		if err != nil {
-			return err
-		}
-		entries[i] = rtree.LeafEntry{ID: rtree.ObjectID(u.ID), Seg: g}
+	entries, err := bulkEntries(updates, db.dims)
+	if err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -515,7 +374,7 @@ func (db *ShardedDB) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64,
 	if err != nil {
 		return nil, err
 	}
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.engine.CostSnapshot)
 	defer finish()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -523,16 +382,7 @@ func (db *ShardedDB) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64,
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = Result{
-			ID:        ObjectID(m.ID),
-			Segment:   fromSegment(m.Seg),
-			Appear:    m.Overlap.Lo,
-			Disappear: m.Overlap.Hi,
-		}
-	}
-	return out, nil
+	return fromRangeMatches(ms), nil
 }
 
 // KNN returns the k objects nearest to point at time t, k-way merging the
@@ -546,7 +396,7 @@ func (db *ShardedDB) KNNCtx(ctx context.Context, point []float64, t float64, k i
 	if opts.Limit > 0 && opts.Limit < k {
 		k = opts.Limit
 	}
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.engine.CostSnapshot)
 	defer finish()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -554,11 +404,7 @@ func (db *ShardedDB) KNNCtx(ctx context.Context, point []float64, t float64, k i
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = Neighbor{ID: ObjectID(n.ID), Segment: fromSegment(n.Seg), Dist: n.Dist}
-	}
-	return out, nil
+	return fromNeighbors(nbs), nil
 }
 
 // Within finds every pair of objects whose positions at time t lie within
@@ -643,11 +489,7 @@ func (s *ShardedPredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Close releases every per-shard cursor.
@@ -686,11 +528,7 @@ func (s *ShardedNonPredictiveSession) Snapshot(view Rect, t0, t1 float64) ([]Res
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Reset forgets every shard's previous snapshot (observer teleported).
@@ -730,11 +568,7 @@ func (s *ShardedAdaptiveSession) Frame(view Rect, t0, t1 float64) ([]Result, err
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Predictive reports whether every shard session is currently running on
@@ -824,15 +658,7 @@ func (db *ShardedDB) ShardBufferStats(i int) BufferStats {
 }
 
 func (db *ShardedDB) shardBufferStats(i int) BufferStats {
-	p := db.engine.Shard(i).Tree.Pool()
-	return BufferStats{
-		Hits:       p.Hits(),
-		Misses:     p.Misses(),
-		Evictions:  p.Evictions(),
-		WriteBacks: p.WriteBacks(),
-		Len:        p.Len(),
-		Capacity:   p.Capacity(),
-	}
+	return bufferStats(db.engine.Shard(i).Tree.Pool())
 }
 
 // BufferSegments reports per-segment buffer-pool accounting summed
@@ -906,16 +732,7 @@ func (db *ShardedDB) StatsByShard() ([]IndexStats, error) {
 	}
 	out := make([]IndexStats, len(per))
 	for i, st := range per {
-		out[i] = IndexStats{
-			Height:        st.Height,
-			Segments:      st.Segments,
-			LeafNodes:     st.LeafNodes,
-			InternalNodes: st.InternalNodes,
-			LeafFanout:    st.MaxLeafFan,
-			IntFanout:     st.MaxIntFan,
-			AvgLeafFill:   st.AvgLeafFill,
-			AvgIntFill:    st.AvgIntFill,
-		}
+		out[i] = indexStats(st)
 	}
 	return out, nil
 }

@@ -26,11 +26,8 @@ package dynq
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
-	"dynq/internal/geom"
-	"dynq/internal/obs"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
 	"dynq/internal/shard"
@@ -117,76 +114,62 @@ func OpenShardedRecover(path string, opts ShardRecoverOptions) (*ShardedDB, []*R
 	stores := make([]pager.Store, opts.Shards)
 	appliedLSNs := make([]uint64, opts.Shards)
 	reps := make([]*RecoveryReport, opts.Shards)
+	var wals []*wal.Log
 	var cfg rtree.Config
-	closeAll := func() {
-		for _, s := range stores {
-			if s != nil {
-				s.Close()
+	opened := false
+	defer func() {
+		if !opened {
+			closeLogs(wals)
+			for _, s := range stores {
+				if s != nil {
+					s.Close()
+				}
 			}
 		}
-	}
+	}()
 	for i := 0; i < opts.Shards; i++ {
 		fs, err := pager.OpenFileStore(shardFilePath(path, i))
 		if err != nil {
-			closeAll()
 			return nil, nil, fmt.Errorf("dynq: open shard %d: %w", i, err)
 		}
+		stores[i] = fs
 		tree, m, lsn, rep, err := recoverStoreTree(fs, fs)
 		if err != nil {
-			fs.Close()
-			closeAll()
 			return nil, nil, fmt.Errorf("dynq: recover shard %d: %w", i, err)
 		}
 		if i == 0 {
 			cfg = m.Config
 		} else if m.Config != cfg {
-			fs.Close()
-			closeAll()
 			return nil, nil, fmt.Errorf("%w: shard %d config %+v disagrees with shard 0 config %+v", ErrCorrupt, i, m.Config, cfg)
 		}
-		trees[i], stores[i], appliedLSNs[i], reps[i] = tree, fs, lsn, rep
+		trees[i], appliedLSNs[i], reps[i] = tree, lsn, rep
 	}
 
 	// Logs arm as a set: the WAL flag forces them, otherwise any existing
 	// sidecar arms all shards (creating the missing ones), so the write
 	// path never has to reason about a half-logged database.
 	armed := opts.WAL
-	if !armed {
-		for i := 0; i < opts.Shards && !armed; i++ {
-			if _, serr := os.Stat(shardWALPath(path, i)); serr == nil {
-				armed = true
-			}
+	for i := 0; i < opts.Shards && !armed; i++ {
+		if _, serr := os.Stat(shardWALPath(path, i)); serr == nil {
+			armed = true
 		}
 	}
-	bufferPages := opts.BufferPages
-	if armed && bufferPages == 0 {
-		bufferPages = defaultWALBufferPages
-	}
+	bufferPages := walBufferPages(opts.BufferPages, armed)
 	if bufferPages > 0 {
 		for _, tree := range trees {
 			if err := tree.UseBuffer(bufferPages); err != nil {
-				closeAll()
 				return nil, nil, err
 			}
 		}
 	}
-
-	var wals []*wal.Log
 	if armed {
 		wals = make([]*wal.Log, opts.Shards)
-		for i := 0; i < opts.Shards; i++ {
-			w, err := replayShardWAL(shardWALPath(path, i), opts.GroupCommitWindow,
+		for i := range wals {
+			wals[i], err = replayLog(shardWALPath(path, i), wal.Options{GroupCommitWindow: opts.GroupCommitWindow},
 				trees[i], cfg.Dims, i, opts.Shards, appliedLSNs[i], reps[i])
 			if err != nil {
-				for _, lw := range wals {
-					if lw != nil {
-						lw.Close()
-					}
-				}
-				closeAll()
 				return nil, nil, err
 			}
-			wals[i] = w
 		}
 	}
 
@@ -196,14 +179,9 @@ func OpenShardedRecover(path string, opts ShardRecoverOptions) (*ShardedDB, []*R
 		BufferPages: bufferPages,
 	}, trees, stores)
 	if err != nil {
-		for _, w := range wals {
-			if w != nil {
-				w.Close()
-			}
-		}
-		closeAll()
 		return nil, nil, err
 	}
+	opened = true
 	db := &ShardedDB{engine: engine, dims: cfg.Dims, path: path, wals: wals, recovery: reps}
 	db.health.after = int32(opts.DegradeAfter)
 	for _, rep := range reps {
@@ -211,78 +189,6 @@ func OpenShardedRecover(path string, opts ShardRecoverOptions) (*ShardedDB, []*R
 	}
 	db.maint = startMaintainer(db, opts.Maintenance)
 	return db, reps, nil
-}
-
-// replayShardWAL opens (or creates) shard i's log, replays every record
-// past the shard's committed applied-LSN onto its tree, and returns the
-// armed log. Replay happens before the engine exists, so no locking is
-// needed. Every replayed object must place on this shard — a record
-// routing elsewhere means the log was written under a different shard
-// count, and replaying it would materialize objects on the wrong shard.
-func replayShardWAL(walPath string, window time.Duration, tree *rtree.Tree,
-	dims, shardIdx, shardCount int, appliedLSN uint64, rep *RecoveryReport) (*wal.Log, error) {
-	w, scan, err := wal.Open(walPath, wal.Options{GroupCommitWindow: window})
-	if err != nil {
-		return nil, fmt.Errorf("dynq: open wal (shard %d): %w", shardIdx, err)
-	}
-	records, updates := 0, 0
-	err = w.Replay(appliedLSN, func(lsn uint64, payload []byte) error {
-		ups, derr := decodeUpdates(payload, dims)
-		if derr != nil {
-			return fmt.Errorf("%w: shard %d wal record %d: %v", ErrCorrupt, shardIdx, lsn, derr)
-		}
-		segs := make([]geom.Segment, len(ups))
-		for i, u := range ups {
-			if got := shard.Place(rtree.ObjectID(u.ID), shardCount); got != shardIdx {
-				return fmt.Errorf("%w: shard %d wal record %d routes object %d to shard %d — log written under a different shard count?",
-					ErrCorrupt, shardIdx, lsn, u.ID, got)
-			}
-			if u.Delete {
-				continue
-			}
-			g, serr := toSegmentDims(u.Segment, dims)
-			if serr != nil {
-				return fmt.Errorf("%w: shard %d wal record %d: %v", ErrCorrupt, shardIdx, lsn, serr)
-			}
-			segs[i] = g
-		}
-		if aerr := applyToTree(tree, ups, segs, true); aerr != nil {
-			return fmt.Errorf("dynq: shard %d wal replay record %d: %w", shardIdx, lsn, aerr)
-		}
-		records++
-		updates += len(ups)
-		return nil
-	})
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	if rep != nil {
-		rep.WALArmed = true
-		rep.WALCheckpointLSN = scan.Checkpoint
-		rep.WALRecordsReplayed = records
-		rep.WALUpdatesReplayed = updates
-		rep.WALTornTail = scan.TornTail
-	}
-	if records > 0 || scan.TornTail {
-		sev := obs.SeverityInfo
-		if scan.TornTail {
-			sev = obs.SeverityWarn
-		}
-		obs.DefaultJournal().Record(obs.EventWALReplay, sev,
-			fmt.Sprintf("shard %d wal replay: %d records (%d updates) past checkpoint %d, torn tail: %v",
-				shardIdx, records, updates, scan.Checkpoint, scan.TornTail),
-			map[string]string{
-				"shard":       strconv.Itoa(shardIdx),
-				"records":     strconv.Itoa(records),
-				"updates":     strconv.Itoa(updates),
-				"checkpoint":  strconv.FormatUint(scan.Checkpoint, 10),
-				"torn_tail":   strconv.FormatBool(scan.TornTail),
-				"last_lsn":    strconv.FormatUint(scan.LastLSN, 10),
-				"applied_lsn": strconv.FormatUint(appliedLSN, 10),
-			})
-	}
-	return w, nil
 }
 
 // MergeRecoveryReports folds per-shard reports into one database-level
@@ -327,156 +233,10 @@ func (db *ShardedDB) LastRecovery() []*RecoveryReport { return db.recovery }
 // WALArmed reports whether the database carries per-shard logs.
 func (db *ShardedDB) WALArmed() bool { return db.wals != nil }
 
-// Sync persists every shard and checkpoints its log, shard by shard:
-// flush the shard's dirty pages, commit its metadata carrying the
-// shard log's highest applied LSN (atomic dual-header commit), then
-// truncate the log to that LSN. The database lock is held exclusively —
-// writers hold it shared, so this exclusion is exactly Checkpoint's
-// no-concurrent-Append precondition, with no per-shard lock juggling.
-//
-// A crash between shard i's commit and shard j's leaves shard j's log
-// longer than necessary, never inconsistent: each shard's metadata and
-// log agree pairwise, and recovery replays each pair independently.
-//
-// Failures follow the single-tree rules: with logs armed, a failed
-// stage degrades the database to read-only immediately (a log whose
-// checkpoint cannot advance grows without bound behind silent retries);
-// without logs it feeds the ordinary consecutive-failure counter.
-func (db *ShardedDB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.health.gate(); err != nil {
-		return err
-	}
-	return db.syncLocked()
-}
-
-// syncLocked is Sync's body without the degraded-mode gate, under the
-// already-held exclusive lock; the maintenance probe commits through it
-// while the database is still degraded.
-func (db *ShardedDB) syncLocked() error {
-	start := time.Now()
-	var truncated int64
-	for i := 0; i < db.engine.Shards(); i++ {
-		n, err := db.syncShardLocked(i)
-		if err != nil {
-			return err
-		}
-		truncated += n
-	}
-	if db.wals != nil {
-		obs.DefaultJournal().Record(obs.EventCheckpoint, obs.SeverityInfo,
-			"sharded wal checkpoint committed; logs truncated",
-			map[string]string{
-				"shards":          strconv.Itoa(db.engine.Shards()),
-				"truncated_bytes": strconv.FormatInt(truncated, 10),
-				"duration":        time.Since(start).String(),
-			})
-	}
-	return db.health.note(nil)
-}
-
-// syncShardLocked flushes, commits, and checkpoints ONE shard under the
-// exclusively held database lock, returning the log bytes truncated. It
-// is the unit both Sync and the auto-checkpoint policy are built from —
-// the policy checkpoints only the shards whose logs crossed a threshold,
-// worst lag first, instead of paying for all of them.
-func (db *ShardedDB) syncShardLocked(i int) (int64, error) {
-	sh := db.engine.Shard(i)
-	var lsn uint64
-	if db.wals != nil {
-		lsn = db.wals[i].LastLSN()
-	}
-	if err := sh.Tree.Pool().Flush(); err != nil {
-		return 0, db.syncShardFailure(i, "flush pages", err)
-	}
-	if s, ok := sh.Store().(auxStore); ok {
-		if err := s.SetAux(encodeMeta(sh.Tree.Meta(), lsn)); err != nil {
-			return 0, db.syncShardFailure(i, "stage metadata", err)
-		}
-	}
-	if err := sh.Store().Sync(); err != nil {
-		return 0, db.syncShardFailure(i, "commit", err)
-	}
-	var truncated int64
-	if db.wals != nil {
-		truncated = db.wals[i].LiveBytes()
-		if err := db.wals[i].Checkpoint(lsn); err != nil {
-			return 0, db.syncShardFailure(i, "wal checkpoint", err)
-		}
-	}
-	return truncated, nil
-}
-
-// syncShardFailure classifies a failed Sync stage on one shard,
-// mirroring the single-tree syncFailure rules.
-func (db *ShardedDB) syncShardFailure(i int, stage string, cause error) error {
-	err := wrapDiskFull(fmt.Errorf("dynq: shard %d %s: %w", i, stage, cause))
-	if db.wals == nil {
-		return db.health.note(err)
-	}
-	obs.DefaultJournal().Record(obs.EventSyncFailure, obs.SeverityError,
-		"sharded checkpoint sync failed with WALs armed; degrading to read-only",
-		map[string]string{"shard": strconv.Itoa(i), "stage": stage, "error": cause.Error()})
-	db.health.set(true)
-	return err
-}
-
-// WALInfoByShard reports each shard log's header state in shard order;
-// ok is false when the database runs without logs.
-func (db *ShardedDB) WALInfoByShard() ([]WALInfo, bool) {
-	if db.wals == nil {
-		return nil, false
-	}
-	out := make([]WALInfo, len(db.wals))
-	for i, w := range db.wals {
-		out[i] = WALInfo{
-			Path:          w.Path(),
-			Epoch:         w.Epoch(),
-			LastLSN:       w.LastLSN(),
-			DurableLSN:    w.DurableLSN(),
-			CheckpointLSN: w.CheckpointLSN(),
-			LiveRecords:   w.CheckpointLag(),
-			LiveBytes:     w.LiveBytes(),
-			Size:          w.Size(),
-		}
-	}
-	return out, true
-}
-
-// WALTelemetry aggregates the per-shard logs into one WAL telemetry
-// section (see obs.MergeWALTelemetry for the aggregation rules: totals
-// sum, quantiles report the worst shard). ok is false without logs. It
-// satisfies the same optional capability the netq server probes on the
-// single-tree DB, so a sharded server exports the ingest panel
-// unchanged.
-func (db *ShardedDB) WALTelemetry(windows []time.Duration) (obs.WALTelemetry, bool) {
-	if db.wals == nil {
-		return obs.WALTelemetry{}, false
-	}
-	var agg obs.WALTelemetry
-	for i, w := range db.wals {
-		t := w.Telemetry(windows)
-		if i == 0 {
-			agg = t
-		} else {
-			agg = obs.MergeWALTelemetry(agg, t)
-		}
-	}
-	agg.Path = db.path + ".shard*.wal"
-	agg.Logs = len(db.wals)
-	return agg, true
-}
-
-// RegisterWALMetrics exposes every shard log's instrumentation in a
-// registry, one {shard="i"}-labeled series per log, reporting whether
-// logs were present to register.
-func (db *ShardedDB) RegisterWALMetrics(reg *obs.Registry) bool {
-	if db.wals == nil {
-		return false
-	}
-	for i, w := range db.wals {
-		w.RegisterMetricsLabeled(reg, obs.L("shard", strconv.Itoa(i)))
-	}
-	return true
-}
+// Sync persists every shard and checkpoints its log, shard by shard,
+// through the same checkpoint as the single-tree DB (see DB.Sync): flush
+// the shard's dirty pages, commit its metadata carrying the shard log's
+// highest applied LSN, then truncate the log to that LSN. The database
+// lock is held exclusively — writers hold it shared, so this exclusion
+// is exactly Checkpoint's no-concurrent-Append precondition.
+func (db *ShardedDB) Sync() error { return syncUnits(db, nil) }

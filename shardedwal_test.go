@@ -218,7 +218,7 @@ func TestShardedWALCrashReplay(t *testing.T) {
 	if err := db.ApplyUpdates(context.Background(), shardBatch(1, 48), WriteOptions{Durability: DurabilityGroupCommit}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashShardedDB(db); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,7 +269,7 @@ func TestShardedWALOneTornLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := crashShardedDB(db); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,7 +348,7 @@ func TestShardedWALCheckpointLagDivergence(t *testing.T) {
 		t.Fatalf("shard 1 should be flush with its checkpoint: %+v", infos[1])
 	}
 	want := db.Len()
-	if err := crashShardedDB(db); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 

@@ -55,6 +55,28 @@ func TestFaultSoakDeterministic(t *testing.T) {
 	}
 }
 
+// TestWALSoakDeterministic replays the same seed twice, single-tree and
+// sharded, and expects identical reports: the shared crash/replay cycle
+// must draw from the seeded workload in a fixed order.
+func TestWALSoakDeterministic(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		run := func() WALSoakReport {
+			rep, err := WALSoak(WALSoakOptions{Cycles: 10, Seed: 42, Batch: 16, Shards: shards, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("%d shards: soak: %v", shards, err)
+			}
+			return rep
+		}
+		a, b := run(), run()
+		if a != b {
+			t.Fatalf("%d shards: same seed produced different soaks:\n  %s\n  %s", shards, a, b)
+		}
+		if a.Tears == 0 || a.AsyncSurvived == 0 {
+			t.Fatalf("%d shards: soak exercised nothing: %s", shards, a)
+		}
+	}
+}
+
 // TestFaultSoakAllFaultsOff is the control: with an empty plan every
 // cycle commits and recovers cleanly.
 func TestFaultSoakAllFaultsOff(t *testing.T) {

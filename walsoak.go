@@ -2,6 +2,7 @@ package dynq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"sync"
 
 	"dynq/internal/pager"
+	"dynq/internal/rtree"
+	"dynq/internal/shard"
 )
 
 // WALSoakOptions configure WALSoak, the crash/reopen loop behind
@@ -102,244 +105,442 @@ func (r WALSoakReport) String() string {
 // group commit that died mid-write. Acknowledged data is never touched,
 // because a completed fsync means those bytes survive a real crash.
 func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
-	if opts.Cycles <= 0 {
-		opts.Cycles = 50
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = 32
-	}
-	if opts.AckedBatches <= 0 {
-		opts.AckedBatches = 4
-	}
-	if opts.AsyncBatches <= 0 {
-		opts.AsyncBatches = 4
-	}
-	if opts.Writers <= 0 {
-		opts.Writers = 4
-	}
-	if opts.BufferPages <= 0 {
-		opts.BufferPages = 4096
-	}
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = 3
 	}
-	if opts.MaxSegments <= 0 {
-		opts.MaxSegments = 8192
+	l := newSoakLoop(opts)
+	opts = l.opts
+	l.open = func() (maintainable, []*RecoveryReport, error) {
+		if opts.Shards == 1 {
+			db, rep, err := OpenFileRecoverWith(l.path, RecoverOptions{BufferPages: opts.BufferPages})
+			if err != nil {
+				return nil, nil, err
+			}
+			return db, []*RecoveryReport{rep}, nil
+		}
+		db, reps, err := OpenShardedRecover(l.path, ShardRecoverOptions{
+			Shards:      opts.Shards,
+			WAL:         true,
+			BufferPages: opts.BufferPages,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return db, reps, nil
 	}
-	dir := opts.Dir
+	l.middle = func(cycle int, db maintainable) error {
+		if opts.CheckpointEvery > 0 && cycle%opts.CheckpointEvery == opts.CheckpointEvery-1 {
+			if err := db.Sync(); err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
+			}
+			l.rep.Checkpoints++
+		}
+		return nil
+	}
+	l.progress = func(cycle int) {
+		if opts.Log != nil && (cycle+1)%25 == 0 {
+			opts.Log("wal soak cycle %d/%d (%d shards): %s", cycle+1, opts.Cycles, opts.Shards, l.rep)
+		}
+	}
+	err := l.run("walsoak")
+	return l.rep, err
+}
+
+// soakLoop is the crash/replay cycle core shared by WALSoak and
+// ChaosSoak, against either engine: opts.Shards == 1 is the single-tree
+// DB (path and "path.wal"), more is a ShardedDB with one log per shard,
+// each crash tearing a random subset of the logs independently. Every
+// cycle runs recover → reconcile the async prefix → compare against the
+// replica → acknowledged writes → middle → async tail → crash → tear →
+// rotate, drawing from the seeded workload in exactly that order, so a
+// seed replays the same soak.
+type soakLoop struct {
+	opts WALSoakOptions
+	path string
+	// open reopens the database with recovery, one report per log;
+	// middle runs the soak's own steps between the acknowledged writes
+	// and the async tail; progress hears of every completed cycle.
+	open     func() (maintainable, []*RecoveryReport, error)
+	middle   func(cycle int, db maintainable) error
+	progress func(cycle int)
+
+	rep       WALSoakReport
+	replica   maintainable // never crashes; fed every acknowledged batch
+	committed int          // acknowledged segments since the last rotation
+	pending   [][]soakSeg  // async batches appended before the last crash
+	wrand     *rand.Rand
+	nextID    ObjectID
+}
+
+// newSoakLoop fills in the defaults both soaks share.
+func newSoakLoop(o WALSoakOptions) *soakLoop {
+	if o.Cycles <= 0 {
+		o.Cycles = 50
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.Batch <= 0 {
+		o.Batch = 32
+	}
+	if o.AckedBatches <= 0 {
+		o.AckedBatches = 4
+	}
+	if o.AsyncBatches <= 0 {
+		o.AsyncBatches = 4
+	}
+	if o.Writers <= 0 {
+		o.Writers = 4
+	}
+	if o.BufferPages <= 0 {
+		o.BufferPages = 4096
+	}
+	if o.MaxSegments <= 0 {
+		o.MaxSegments = 8192
+	}
+	if o.Shards < 1 {
+		o.Shards = 1
+	}
+	return &soakLoop{opts: o}
+}
+
+// run drives every cycle against "<name>.dynq" in opts.Dir (default: a
+// fresh temp dir, removed afterwards).
+func (l *soakLoop) run(name string) error {
+	dir := l.opts.Dir
 	if dir == "" {
 		var err error
-		dir, err = os.MkdirTemp("", "dynq-walsoak")
-		if err != nil {
-			return WALSoakReport{}, err
+		if dir, err = os.MkdirTemp("", "dynq-"+name); err != nil {
+			return err
 		}
 		defer os.RemoveAll(dir)
 	}
-	if opts.Shards > 1 {
-		return walSoakSharded(opts, filepath.Join(dir, "walsoak.dynq"))
+	l.path = filepath.Join(dir, name+".dynq")
+	l.wrand = rand.New(rand.NewSource(l.opts.Seed))
+	defer func() {
+		if l.replica != nil {
+			l.replica.Close()
+		}
+	}()
+	if err := l.rotate(); err != nil {
+		return err
 	}
-	path := filepath.Join(dir, "walsoak.dynq")
-	walPath := path + ".wal"
-
-	var rep WALSoakReport
-	var committed []soakSeg // acknowledged state, for rotation rebuilds
-	replica, err := Open(Options{})
-	if err != nil {
-		return rep, err
-	}
-	defer func() { replica.Close() }()
-	if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
-		return rep, err
-	}
-
-	wrand := rand.New(rand.NewSource(opts.Seed))
-	var nextID ObjectID
-	// pendingAsync holds the async batches appended before the last
-	// crash, in append order; replay keeps a per-record prefix of them.
-	var pendingAsync [][]soakSeg
-	for cycle := 0; cycle < opts.Cycles; cycle++ {
-		rep.Cycles++
-
-		// Recovery phase: reopen, replay, reconcile the replica with the
-		// surviving async prefix, and compare answers.
-		db, rrep, err := OpenFileRecoverWith(path, RecoverOptions{BufferPages: opts.BufferPages})
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: reopen: %w", cycle, err)
+	for cycle := 0; cycle < l.opts.Cycles; cycle++ {
+		l.rep.Cycles++
+		if err := l.cycle(cycle); err != nil {
+			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		if !rrep.WALArmed {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: reopen did not arm the wal sidecar", cycle)
-		}
-		rep.RecordsReplayed += rrep.WALRecordsReplayed
-		rep.UpdatesReplayed += rrep.WALUpdatesReplayed
-		if rrep.WALTornTail {
-			rep.TornTails++
-		}
-		survived, err := reconcileAsync(db, replica, &committed, pendingAsync)
-		if err != nil {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-		if survived < 0 {
-			rep.LostAcked++
-			survived = 0
-		}
-		rep.AsyncSurvived += survived
-		pendingAsync = nil
-		qrand := rand.New(rand.NewSource(opts.Seed ^ (int64(cycle)+1)*0x5DEECE66D))
-		wrong, compared, err := compareAnswers(db, replica, qrand)
-		if err != nil {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: query comparison: %w", cycle, err)
-		}
-		rep.WrongAnswers += wrong
-		rep.QueriesCompared += compared
-
-		// Acknowledged write phase: concurrent batches, group-committed.
-		// Batches use disjoint fresh ids, so they commute — the replica
-		// can apply them in any order and still answer identically. A
-		// third of the batches carry churn (delete + reinsert of their
-		// own first segment) so replay exercises the delete path without
-		// changing the final state.
-		acked := make([][]soakSeg, opts.AckedBatches)
-		ackedUps := make([][]MotionUpdate, opts.AckedBatches)
-		for i := range acked {
-			acked[i] = genSoakBatch(wrand, opts.Batch, &nextID)
-			ackedUps[i] = toUpdates(acked[i])
-			if wrand.Intn(3) == 0 {
-				ackedUps[i] = withChurn(ackedUps[i])
+		if l.committed >= l.opts.MaxSegments {
+			if err := l.rotate(); err != nil {
+				return err
 			}
+			l.rep.Rotations++
 		}
-		var wg sync.WaitGroup
-		errs := make([]error, opts.Writers)
-		for w := 0; w < opts.Writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(ackedUps); i += opts.Writers {
-					d := DurabilityGroupCommit
-					if i%5 == 4 {
-						d = DurabilitySync
-					}
-					if err := db.ApplyUpdates(context.Background(), ackedUps[i], WriteOptions{Durability: d}); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: acked batch: %w", cycle, err)
-			}
-		}
-		rep.BatchesAcked += len(acked)
-		for _, b := range acked {
-			committed = append(committed, b...)
-			for _, s := range b {
-				if err := replica.Insert(s.id, s.seg); err != nil {
-					db.Close()
-					return rep, fmt.Errorf("cycle %d: replica insert: %w", cycle, err)
-				}
-			}
-		}
-
-		if opts.CheckpointEvery > 0 && cycle%opts.CheckpointEvery == opts.CheckpointEvery-1 {
-			if err := db.Sync(); err != nil {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: checkpoint: %w", cycle, err)
-			}
-			rep.Checkpoints++
-		}
-
-		// The durable boundary: every log byte on disk right now is
-		// covered by a completed fsync (the soak is quiescent), so the
-		// tear must land strictly beyond this offset.
-		ackedSize, err := fileSize(walPath)
-		if err != nil {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-
-		// Async tail: appended, applied in memory, never awaited.
-		for i := 0; i < opts.AsyncBatches; i++ {
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			if err := db.ApplyUpdates(context.Background(), toUpdates(b), WriteOptions{Durability: DurabilityAsync}); err != nil {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: async batch: %w", cycle, err)
-			}
-			pendingAsync = append(pendingAsync, b)
-		}
-		rep.BatchesAsync += len(pendingAsync)
-
-		if err := crashDB(db); err != nil {
-			return rep, fmt.Errorf("cycle %d: crash: %w", cycle, err)
-		}
-		torn, err := tearWALTail(walPath, ackedSize, wrand)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: tear: %w", cycle, err)
-		}
-		if torn {
-			rep.Tears++
-		}
-
-		if len(committed) >= opts.MaxSegments {
-			committed = committed[:0]
-			pendingAsync = nil
-			replica.Close()
-			if replica, err = Open(Options{}); err != nil {
-				return rep, err
-			}
-			if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
-				return rep, err
-			}
-			rep.Rotations++
-		}
-		if opts.Log != nil && (cycle+1)%25 == 0 {
-			opts.Log("wal soak cycle %d/%d: %s", cycle+1, opts.Cycles, rep)
+		if l.progress != nil {
+			l.progress(cycle)
 		}
 	}
-	return rep, nil
+	return nil
 }
 
-// reconcileAsync determines, from the recovered database's size, how
-// many of the pre-crash async batches survived replay (the log keeps a
-// record-aligned prefix), applies exactly those to the replica, and
-// returns the count. A negative return means acknowledged data is
-// missing — the invariant violation the soak exists to catch.
-func reconcileAsync(db, replica *DB, committed *[]soakSeg, pendingAsync [][]soakSeg) (int, error) {
-	base := replica.Len()
-	got := db.Len()
-	if got < base {
-		return -1, nil
+// rotate starts over from an empty history: a fresh replica and a fresh
+// database at path.
+func (l *soakLoop) rotate() error {
+	if l.replica != nil {
+		l.replica.Close()
+		l.replica = nil
 	}
-	extra := got - base
-	if len(pendingAsync) == 0 {
-		if extra != 0 {
-			return 0, fmt.Errorf("recovered %d unexplained segments (no async batches were pending)", extra)
+	l.committed, l.pending = 0, nil
+	if l.opts.Shards == 1 {
+		replica, err := Open(Options{})
+		if err != nil {
+			return err
 		}
-		return 0, nil
+		l.replica = replica
+	} else {
+		replica, err := OpenSharded(ShardOptions{Shards: l.opts.Shards})
+		if err != nil {
+			return err
+		}
+		l.replica = replica
 	}
-	per := len(pendingAsync[0]) // async batches are insert-only, fixed size
-	if per == 0 || extra%per != 0 || extra/per > len(pendingAsync) {
-		return 0, fmt.Errorf("recovered %d extra segments, not a record-aligned prefix of %d async batches of %d",
-			extra, len(pendingAsync), per)
+	return freshWAL(l.path, l.opts.Shards, l.opts.BufferPages)
+}
+
+// cycle runs one iteration, from the recovering open to the tear.
+func (l *soakLoop) cycle(cycle int) error {
+	db, reps, err := l.open()
+	if err != nil {
+		return fmt.Errorf("reopen: %w", err)
 	}
-	survived := extra / per
-	for _, b := range pendingAsync[:survived] {
-		*committed = append(*committed, b...)
-		for _, s := range b {
-			if err := replica.Insert(s.id, s.seg); err != nil {
-				return 0, fmt.Errorf("replica insert: %w", err)
+	paths, sizes, err := l.live(cycle, db, reps)
+	if err != nil {
+		db.Close()
+		return err
+	}
+	if err := crash(db); err != nil {
+		return fmt.Errorf("crash: %w", err)
+	}
+	// Tear each log independently — divergence across shards is the
+	// point: one log torn mid-record, its neighbor untouched.
+	tornAny := false
+	for i, p := range paths {
+		torn, err := tearWALTail(p, sizes[i], l.wrand)
+		if err != nil {
+			return fmt.Errorf("tear log %d: %w", i, err)
+		}
+		tornAny = tornAny || torn
+	}
+	if tornAny {
+		l.rep.Tears++
+	}
+	return nil
+}
+
+// live runs the cycle's steps on the recovered database up to the crash
+// and returns each log's path and durable size.
+func (l *soakLoop) live(cycle int, db maintainable, reps []*RecoveryReport) ([]string, []int64, error) {
+	tornTail := false
+	for i, r := range reps {
+		if !r.WALArmed {
+			return nil, nil, fmt.Errorf("reopen did not arm log %d", i)
+		}
+		l.rep.RecordsReplayed += r.WALRecordsReplayed
+		l.rep.UpdatesReplayed += r.WALUpdatesReplayed
+		tornTail = tornTail || r.WALTornTail
+	}
+	if tornTail {
+		l.rep.TornTails++
+	}
+	if err := l.reconcile(db); err != nil {
+		return nil, nil, err
+	}
+	qrand := rand.New(rand.NewSource(l.opts.Seed ^ (int64(cycle)+1)*0x5DEECE66D))
+	wrong, compared, err := compareAnswers(db, l.replica, qrand)
+	if err != nil {
+		return nil, nil, fmt.Errorf("query comparison: %w", err)
+	}
+	l.rep.WrongAnswers += wrong
+	l.rep.QueriesCompared += compared
+
+	if err := l.ackedWrites(db); err != nil {
+		return nil, nil, err
+	}
+	if err := l.middle(cycle, db); err != nil {
+		return nil, nil, err
+	}
+
+	// The durable boundaries: every log byte on disk right now is covered
+	// by a completed fsync (the soak is quiescent), so each tear must
+	// land strictly beyond its log's size here.
+	_, _, logs := lockedUnits(db)
+	paths := make([]string, len(logs))
+	sizes := make([]int64, len(logs))
+	for i, w := range logs {
+		paths[i] = w.Path()
+		if sizes[i], err = fileSize(paths[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Async tail: appended, applied in memory, never awaited. Each batch
+	// leaves one record in every log it touches.
+	for i := 0; i < l.opts.AsyncBatches; i++ {
+		b := l.gen(l.opts.Batch)
+		if err := db.ApplyUpdates(context.Background(), toUpdates(b), WriteOptions{Durability: DurabilityAsync}); err != nil {
+			return nil, nil, fmt.Errorf("async batch: %w", err)
+		}
+		l.pending = append(l.pending, b)
+	}
+	l.rep.BatchesAsync += len(l.pending)
+	return paths, sizes, nil
+}
+
+// ackedWrites is the acknowledged write phase: concurrent batches,
+// group-committed across every touched log. Batches use disjoint fresh
+// ids, so they commute — the replica can apply them in any order and
+// still answer identically. A third of the batches carry churn (delete +
+// reinsert of their own first segment) so replay exercises the delete
+// path without changing the final state.
+func (l *soakLoop) ackedWrites(db maintainable) error {
+	acked := make([][]soakSeg, l.opts.AckedBatches)
+	ups := make([][]MotionUpdate, len(acked))
+	for i := range acked {
+		acked[i] = l.gen(l.opts.Batch)
+		ups[i] = toUpdates(acked[i])
+		if l.wrand.Intn(3) == 0 {
+			ups[i] = withChurn(ups[i])
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, l.opts.Writers)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(ups); i += l.opts.Writers {
+				d := DurabilityGroupCommit
+				if i%5 == 4 {
+					d = DurabilitySync
+				}
+				if err := db.ApplyUpdates(context.Background(), ups[i], WriteOptions{Durability: d}); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("acked batch: %w", err)
+	}
+	l.rep.BatchesAcked += len(acked)
+	for _, b := range acked {
+		if err := l.commit(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gen draws the next batch of the seeded workload.
+func (l *soakLoop) gen(n int) []soakSeg { return genSoakBatch(l.wrand, n, &l.nextID) }
+
+// commit records an acknowledged batch: it joins the history and the
+// replica.
+func (l *soakLoop) commit(batch []soakSeg) error {
+	l.committed += len(batch)
+	for _, s := range batch {
+		if err := l.replica.Insert(s.id, s.seg); err != nil {
+			return fmt.Errorf("replica insert: %w", err)
+		}
+	}
+	return nil
+}
+
+// reconcile determines, per shard, how many of the pre-crash async
+// records survived replay — each log keeps a record-aligned prefix of
+// ITS OWN records, independent of the other logs — commits exactly those
+// segments, and counts the async batches intact on every shard they
+// touched. A shard recovered below its acknowledged state has lost
+// acknowledged data: the invariant violation the soak exists to catch.
+func (l *soakLoop) reconcile(db maintainable) error {
+	pending := l.pending
+	l.pending = nil
+	gotTrees, _, _ := lockedUnits(db)
+	baseTrees, _, _ := lockedUnits(l.replica)
+	n := len(gotTrees)
+
+	// Partition each pending batch by owner shard: subs[s] is the ordered
+	// list of this crash window's async records in shard s's log, and
+	// batchOf[s][j] says which batch record j came from.
+	subs := make([][][]soakSeg, n)
+	batchOf := make([][]int, n)
+	for b, batch := range pending {
+		parts := make([][]soakSeg, n)
+		for _, s := range batch {
+			sh := shard.Place(rtree.ObjectID(s.id), n)
+			parts[sh] = append(parts[sh], s)
+		}
+		for s, p := range parts {
+			if len(p) > 0 {
+				subs[s] = append(subs[s], p)
+				batchOf[s] = append(batchOf[s], b)
 			}
 		}
 	}
-	return survived, nil
+
+	// Each shard's extra segments must be an exact prefix sum of its
+	// async record sizes: replay keeps whole records, in order.
+	survived := make([]int, n)
+	for s := 0; s < n; s++ {
+		extra := gotTrees[s].Size() - baseTrees[s].Size()
+		if extra < 0 {
+			l.rep.LostAcked++
+			return nil
+		}
+		sum, m := 0, 0
+		for m < len(subs[s]) && sum < extra {
+			sum += len(subs[s][m])
+			m++
+		}
+		if sum != extra {
+			return fmt.Errorf("shard %d recovered %d extra segments, not a record-aligned prefix of its %d async records",
+				s, extra, len(subs[s]))
+		}
+		survived[s] = m
+	}
+
+	intact := make([]bool, len(pending))
+	for i := range intact {
+		intact[i] = true
+	}
+	for s := 0; s < n; s++ {
+		for j := 0; j < survived[s]; j++ {
+			if err := l.commit(subs[s][j]); err != nil {
+				return err
+			}
+		}
+		for j := survived[s]; j < len(subs[s]); j++ {
+			intact[batchOf[s][j]] = false
+		}
+	}
+	for _, ok := range intact {
+		if ok {
+			l.rep.AsyncSurvived++
+		}
+	}
+	return nil
+}
+
+// crash abandons db as a power cut would: every log and page file is
+// dropped without a final sync — buffered pages lost, each log ending
+// wherever its last append stopped — then Close releases the rest
+// (worker pool, maintenance loop), a no-op on the crashed files.
+func crash(db maintainable) error {
+	_, stores, logs := lockedUnits(db)
+	var errs []error
+	for _, w := range logs {
+		errs = append(errs, w.Crash())
+	}
+	for _, st := range stores {
+		if f, ok := st.(*pager.FaultStore); ok {
+			st = f.Inner
+		}
+		if fs, ok := st.(*pager.FileStore); ok {
+			errs = append(errs, fs.Crash())
+		}
+	}
+	return errors.Join(append(errs, db.Close())...)
+}
+
+// freshWAL replaces whatever database sits at path with an empty,
+// checkpointed, WAL-armed one — the single-tree layout for one shard —
+// so the next recovering open arms the logs with nothing to replay.
+func freshWAL(path string, shards, bufferPages int) error {
+	if shards == 1 {
+		db, err := Open(Options{Path: path, WALPath: path + ".wal", BufferPages: bufferPages})
+		if err != nil {
+			return err
+		}
+		return errors.Join(db.Sync(), db.Close())
+	}
+	for i := 0; i < shards; i++ {
+		for _, p := range []string{shardFilePath(path, i), shardWALPath(path, i)} {
+			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	db, err := OpenSharded(ShardOptions{
+		Options: Options{Path: path, BufferPages: bufferPages},
+		Shards:  shards,
+		WAL:     true,
+	})
+	if err != nil {
+		return err
+	}
+	return errors.Join(db.Sync(), db.Close())
 }
 
 // toUpdates converts a generated batch to the ApplyUpdates form.
@@ -359,17 +560,6 @@ func withChurn(ups []MotionUpdate) []MotionUpdate {
 	return append(ups,
 		MotionUpdate{ID: u.ID, Segment: Segment{T0: u.Segment.T0}, Delete: true},
 		u)
-}
-
-// crashDB abandons the database without flushing: the page store and
-// the log are closed as a real crash would leave them — no final sync,
-// buffered pages lost, log ending wherever the last append stopped.
-func crashDB(db *DB) error {
-	db.wal.Crash()
-	if fs, ok := db.store.(*pager.FileStore); ok {
-		return fs.Crash()
-	}
-	return db.store.Close()
 }
 
 // tearWALTail damages the crash-exposed region of the log — the bytes
@@ -425,25 +615,4 @@ func fileSize(path string) (int64, error) {
 		return 0, err
 	}
 	return st.Size(), nil
-}
-
-// rebuildFileWAL recreates the page file from the committed sequence
-// and leaves a clean (checkpointed) log beside it, so the next
-// recovering open arms the sidecar with nothing to replay.
-func rebuildFileWAL(path, walPath string, committed []soakSeg, bufferPages int) error {
-	db, err := Open(Options{Path: path, WALPath: walPath, BufferPages: bufferPages})
-	if err != nil {
-		return err
-	}
-	for _, s := range committed {
-		if err := db.Insert(s.id, s.seg); err != nil {
-			db.Close()
-			return err
-		}
-	}
-	if err := db.Sync(); err != nil {
-		db.Close()
-		return err
-	}
-	return db.Close()
 }

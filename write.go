@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"dynq/internal/geom"
 	"dynq/internal/rtree"
+	"dynq/internal/shard"
 	"dynq/internal/stats"
+	"dynq/internal/wal"
 )
 
 // MotionUpdate is one element of a write batch: an insertion of a motion
@@ -107,23 +110,6 @@ type WriteOptions struct {
 	Stats func(stats.Snapshot)
 }
 
-// begin mirrors QueryOptions.begin: apply the deadline, arm the stats
-// sink; finish must be called (deferred) when the write completes.
-func (o WriteOptions) begin(ctx context.Context, snap func() stats.Snapshot) (context.Context, func()) {
-	cancel := func() {}
-	if o.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.Deadline)
-	}
-	if o.Stats == nil {
-		return ctx, cancel
-	}
-	before := snap()
-	return ctx, func() {
-		o.Stats(snap().Sub(before))
-		cancel()
-	}
-}
-
 // ApplyUpdates applies a batch of motion updates as one write: one lock
 // acquisition, one WAL record, one durability wait — the high-rate
 // ingest path for dead-reckoning bursts. Updates apply in slice order,
@@ -162,7 +148,7 @@ func (db *DB) ApplyUpdates(ctx context.Context, updates []MotionUpdate, opts Wri
 // false, because its whole purpose is to attempt a write while the
 // database is degraded.
 func (db *DB) applyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions, ws *writeSpan, gated bool) error {
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.counters.Snapshot)
 	defer finish()
 	// db.wal is immutable after open, so the durability contract can be
 	// checked before any work: an explicit sync level with no log armed
@@ -174,24 +160,17 @@ func (db *DB) applyUpdates(ctx context.Context, updates []MotionUpdate, opts Wri
 	// batch costs nothing and a logged batch never fails validation on
 	// replay.
 	mark := ws.now()
-	segs := make([]geom.Segment, len(updates))
-	for i, u := range updates {
-		if u.Delete {
-			continue
-		}
-		g, err := db.toSegment(u.Segment)
-		if err != nil {
-			return err
-		}
-		segs[i] = g
+	_, segs, err := partitionBatch(updates, db.cfg.Dims, 1)
+	ws.stage(stageValidate, ws.since(mark))
+	if err != nil {
+		return err
 	}
-	validate := ws.since(mark)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	db.mu.Lock()
 	if gated {
-		if err := db.writeGate(); err != nil {
+		if err := db.health.gate(); err != nil {
 			db.mu.Unlock()
 			return err
 		}
@@ -200,65 +179,132 @@ func (db *DB) applyUpdates(ctx context.Context, updates []MotionUpdate, opts Wri
 		db.mu.Unlock()
 		return err
 	}
-	// The validate stage spans both intervals: pre-lock conversion and
-	// the in-lock delete balance check (lock wait is not attributed).
 	mark = ws.now()
-	verr := db.validateDeletesLocked(updates)
-	ws.stage(stageValidate, validate+ws.since(mark))
-	if verr != nil {
-		db.mu.Unlock()
-		return verr
+	lsn, check, appendDur, err := appendAndApply(ws, db.tree, db.wal, db.cfg.Dims, updates, segs[0])
+	ws.applyStages(ws.since(mark), check, appendDur, db.wal != nil)
+	db.mu.Unlock()
+	return finishWrite(&db.health, err, opts.Durability, db.logs(), []uint64{lsn}, ws)
+}
+
+// partitionBatch converts every insert's geometry — rejecting the whole
+// batch on the first malformed segment — and splits the batch by owner
+// shard, keeping slice order within each part. With one shard the single
+// part is the batch itself.
+func partitionBatch(updates []MotionUpdate, dims, shards int) ([][]MotionUpdate, [][]geom.Segment, error) {
+	parts := make([][]MotionUpdate, shards)
+	segs := make([][]geom.Segment, shards)
+	if shards == 1 {
+		parts[0] = updates
 	}
-	var lsn uint64
-	if db.wal != nil {
+	for _, u := range updates {
+		var g geom.Segment
+		if !u.Delete {
+			var err error
+			if g, err = toSegmentDims(u.Segment, dims); err != nil {
+				return nil, nil, err
+			}
+		}
+		s := shard.Place(rtree.ObjectID(u.ID), shards)
+		if shards > 1 {
+			parts[s] = append(parts[s], u)
+		}
+		segs[s] = append(segs[s], g)
+	}
+	return parts, segs, nil
+}
+
+// appendAndApply is one unit's half of a write, shared by both engines:
+// it checks that every deletion has a segment to remove (so a batch that
+// fails with ErrNotFound is never logged and never resurrected by
+// replay), appends the batch to log as ONE crash-atomic record before it
+// touches the tree (write-ahead; skipped when log is nil), then applies
+// it. The caller holds the lock guarding tree, so the log's record order
+// is the order mutations became visible. It returns the record's LSN (0
+// without a log) and, for the write span, the wall time of the check and
+// of the append (zero when ws traces nothing).
+func appendAndApply(ws *writeSpan, tree *rtree.Tree, log *wal.Log, dims int, updates []MotionUpdate, segs []geom.Segment) (lsn uint64, check, appendDur time.Duration, err error) {
+	mark := ws.now()
+	err = validateDeletesOn(tree, updates)
+	check = ws.since(mark)
+	if err != nil {
+		return 0, check, 0, err
+	}
+	if log != nil {
 		mark = ws.now()
-		var err error
-		lsn, err = db.wal.Append(encodeUpdates(db.cfg.Dims, updates))
-		ws.stage(stageWALAppend, ws.since(mark))
+		lsn, err = log.Append(encodeUpdates(dims, updates))
+		appendDur = ws.since(mark)
 		if err != nil {
-			err = db.noteWriteResult(fmt.Errorf("dynq: wal append: %w", err))
-			db.mu.Unlock()
-			return err
+			return 0, check, appendDur, fmt.Errorf("dynq: wal append: %w", err)
 		}
 	}
-	mark = ws.now()
-	err := db.applyLocked(updates, segs, false)
-	ws.stage(stageTreeApply, ws.since(mark))
-	db.mu.Unlock()
-	if err != nil {
+	return lsn, check, appendDur, applyToTree(tree, updates, segs, false)
+}
+
+// finishWrite settles a write batch once every lock is released, for
+// both engines: the outcome feeds the health state (ErrNotFound is an
+// answer, not a storage failure), then the call waits for each touched
+// log's record (lsns[i] != 0) as d requires. The wait runs outside every
+// lock, so an fsync never blocks readers or a checkpoint and concurrent
+// writers pile into each log's group-commit round. One touched log waits
+// inline; several sync in parallel, so the wait is the slowest log, not
+// the sum.
+func finishWrite(health *degradeState, err error, d Durability, logs []*wal.Log, lsns []uint64, ws *writeSpan) error {
+	if err == ErrNotFound {
 		return err
 	}
-	// The durability wait runs OUTSIDE the database lock: an fsync never
-	// blocks readers, and concurrent writers can pile into the same
-	// group-commit round.
-	if db.wal != nil && opts.Durability != DurabilityAsync {
-		mark = ws.now()
-		var werr error
-		if opts.Durability == DurabilitySync {
-			werr = db.wal.SyncNow(lsn)
+	if err != nil {
+		return health.note(err)
+	}
+	health.note(nil)
+	if logs == nil || d == DurabilityAsync {
+		return nil
+	}
+	mark := ws.now()
+	errs := make([]error, len(logs))
+	wait := func(i int) {
+		if d == DurabilitySync {
+			errs[i] = logs[i].SyncNow(lsns[i])
 		} else {
-			werr = db.wal.Sync(lsn)
+			errs[i] = logs[i].Sync(lsns[i])
 		}
-		ws.stage(stageFsyncWait, ws.since(mark))
+	}
+	touched := 0
+	for _, lsn := range lsns {
+		if lsn != 0 {
+			touched++
+		}
+	}
+	var wg sync.WaitGroup
+	for i, lsn := range lsns {
+		switch {
+		case lsn == 0:
+		case touched == 1:
+			wait(i)
+		default:
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				wait(i)
+			}(i)
+		}
+	}
+	wg.Wait()
+	ws.stage(stageFsyncWait, ws.since(mark))
+	for i, werr := range errs {
 		if werr != nil {
-			return db.noteWriteResult(fmt.Errorf("dynq: wal commit: %w", werr))
+			return health.note(fmt.Errorf("dynq: wal commit%s: %w", shardTag(i, len(logs)), werr))
 		}
 	}
 	return nil
 }
 
-// validateDeletesLocked checks, under the held write lock, that every
-// deletion in the batch has a segment to remove — already indexed, or
-// inserted earlier in the batch and not yet consumed — so ErrNotFound
-// surfaces BEFORE the batch is WAL-logged. Without this check a batch
-// the caller saw fail would still replay in full after a crash,
-// durably resurrecting a write that was never acknowledged.
-func (db *DB) validateDeletesLocked(updates []MotionUpdate) error {
-	err := validateDeletesOn(db.tree, updates)
-	if err != nil && err != ErrNotFound {
-		return db.noteWriteResult(err)
+// shardTag labels a message with its shard on a sharded database and
+// with nothing for a single tree, so both engines share one wording.
+func shardTag(i, n int) string {
+	if n == 1 {
+		return ""
 	}
-	return err
+	return fmt.Sprintf(" (shard %d)", i)
 }
 
 // validateDeletesOn is the tree-level delete balance check shared by the
@@ -308,22 +354,6 @@ func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) error {
 	return nil
 }
 
-// applyLocked applies converted updates to the index under the held
-// write lock. segs[i] holds the pre-converted geometry for insert
-// updates. In replay mode a delete of a missing segment is skipped
-// rather than failed: the segment may have been removed by a later
-// replayed record the first time around, then checkpointed.
-func (db *DB) applyLocked(updates []MotionUpdate, segs []geom.Segment, replay bool) error {
-	err := applyToTree(db.tree, updates, segs, replay)
-	if err != nil && err != ErrNotFound {
-		return db.noteWriteResult(err)
-	}
-	if err == nil {
-		db.noteWriteResult(nil)
-	}
-	return err
-}
-
 // applyToTree applies converted updates to one tree in slice order — the
 // shared mutation loop behind the single-tree and per-shard write paths.
 // The caller holds the lock guarding tree and owns health accounting.
@@ -367,25 +397,18 @@ func (db *DB) DeleteCtx(ctx context.Context, id ObjectID, t0 float64, opts Write
 // (a log entry per bulk segment would defeat the point); call Sync to
 // make it durable, exactly as before the WAL existed.
 func (db *DB) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
+	ctx, finish := beginOp(ctx, opts.Deadline, opts.Stats, db.counters.Snapshot)
 	defer finish()
-	entries := make([]rtree.LeafEntry, len(updates))
-	for i, u := range updates {
-		if u.Delete {
-			return fmt.Errorf("dynq: BulkLoad batch contains a deletion (object %d); deletions need an existing index", u.ID)
-		}
-		g, err := db.toSegment(u.Segment)
-		if err != nil {
-			return err
-		}
-		entries[i] = rtree.LeafEntry{ID: rtree.ObjectID(u.ID), Seg: g}
+	entries, err := bulkEntries(updates, db.cfg.Dims)
+	if err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.writeGate(); err != nil {
+	if err := db.health.gate(); err != nil {
 		return err
 	}
 	if db.tree.Size() != 0 {
@@ -393,9 +416,9 @@ func (db *DB) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts Writ
 	}
 	tree, err := rtree.BulkLoad(db.tree.Config(), db.store, entries)
 	if err != nil {
-		return db.noteWriteResult(err)
+		return db.health.note(err)
 	}
-	db.noteWriteResult(nil)
+	db.health.note(nil)
 	if db.bufferPages > 0 {
 		if err := tree.UseBuffer(db.bufferPages); err != nil {
 			return err
@@ -404,6 +427,23 @@ func (db *DB) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts Writ
 	tree.SetCounters(&db.counters)
 	db.tree = tree
 	return nil
+}
+
+// bulkEntries converts a bulk-load batch to leaf entries for either
+// engine; a deletion fails the batch, since it needs an existing index.
+func bulkEntries(updates []MotionUpdate, dims int) ([]rtree.LeafEntry, error) {
+	entries := make([]rtree.LeafEntry, len(updates))
+	for i, u := range updates {
+		if u.Delete {
+			return nil, fmt.Errorf("dynq: BulkLoad batch contains a deletion (object %d); deletions need an existing index", u.ID)
+		}
+		g, err := toSegmentDims(u.Segment, dims)
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = rtree.LeafEntry{ID: rtree.ObjectID(u.ID), Seg: g}
+	}
+	return entries, nil
 }
 
 // BulkLoadUpdates is BulkLoadCtx without a context: the order-preserving

@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"dynq/internal/obs"
+	"dynq/internal/rtree"
+	"dynq/internal/shard"
+	"dynq/internal/wal"
 )
 
 func seg2(t0, t1, x, y float64) Segment {
@@ -17,12 +20,29 @@ func seg2(t0, t1, x, y float64) Segment {
 }
 
 func TestApplyUpdatesBatchSemantics(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
+	for name, open := range map[string]func() (Database, error){
+		"single":    func() (Database, error) { return Open(Options{}) },
+		"sharded-4": func() (Database, error) { return OpenSharded(ShardOptions{Shards: 4}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			testApplyUpdatesBatchSemantics(t, db)
+		})
 	}
-	defer db.Close()
+}
 
+func testApplyUpdatesBatchSemantics(t *testing.T, db Database) {
+	length := func() int {
+		st, err := db.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Segments
+	}
 	// Order matters: insert, delete, reinsert of the same object in one
 	// batch must leave exactly one segment.
 	batch := []MotionUpdate{
@@ -34,18 +54,35 @@ func TestApplyUpdatesBatchSemantics(t *testing.T) {
 	if err := db.ApplyUpdates(context.Background(), batch, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 2 {
-		t.Fatalf("Len = %d after batch, want 2", db.Len())
+	if length() != 2 {
+		t.Fatalf("Len = %d after batch, want 2", length())
 	}
 	// Empty batch is a no-op.
 	if err := db.ApplyUpdates(context.Background(), nil, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Deleting a missing segment fails the batch with ErrNotFound.
-	err = db.ApplyUpdates(context.Background(),
+	err := db.ApplyUpdates(context.Background(),
 		[]MotionUpdate{{ID: 99, Segment: Segment{T0: 3}, Delete: true}}, WriteOptions{})
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete of missing segment: %v, want ErrNotFound", err)
+	}
+	// ...and fails it whole: an insert sharing the batch (and, on a
+	// sharded database, the owner shard) with the missing delete must not
+	// apply either.
+	missing := ObjectID(100)
+	for shard.Place(rtree.ObjectID(missing), 4) != shard.Place(rtree.ObjectID(7), 4) {
+		missing++
+	}
+	err = db.ApplyUpdates(context.Background(), []MotionUpdate{
+		{ID: 7, Segment: seg2(0, 10, 7, 7)},
+		{ID: missing, Segment: Segment{T0: 3}, Delete: true},
+	}, WriteOptions{})
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("insert + missing delete: %v, want ErrNotFound", err)
+	}
+	if length() != 2 {
+		t.Fatalf("failed batch applied its insert: Len = %d, want 2", length())
 	}
 	// A bad update is rejected upfront, before anything applies.
 	err = db.ApplyUpdates(context.Background(), []MotionUpdate{
@@ -55,8 +92,8 @@ func TestApplyUpdatesBatchSemantics(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with an invalid segment was accepted")
 	}
-	if db.Len() != 2 {
-		t.Fatalf("failed validation applied a prefix: Len = %d, want 2", db.Len())
+	if length() != 2 {
+		t.Fatalf("failed validation applied a prefix: Len = %d, want 2", length())
 	}
 	// A canceled context is honored before the batch applies.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -150,7 +187,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 	if st, ok := db.WALStats(); !ok || st.Appends != 6 {
 		t.Fatalf("WALStats = %+v, %v; want 6 appends", st, ok)
 	}
-	if err := crashDB(db); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +226,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 	if err := rdb.InsertCtx(context.Background(), 6, seg2(0, 10, 6, 6), WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(rdb); err != nil {
+	if err := crash(rdb); err != nil {
 		t.Fatal(err)
 	}
 	rdb2, rep2, err := OpenFileRecover(path)
@@ -222,7 +259,7 @@ func TestWALCheckpointBoundsReplay(t *testing.T) {
 	if err := db.Insert(9, seg2(0, 10, 9, 9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(db); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 	rdb, rep, err := OpenFileRecover(path)
@@ -261,7 +298,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if err := db.InsertCtx(context.Background(), 2, seg2(0, 10, 2, 2), WriteOptions{Durability: DurabilityAsync}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(db); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 	total, err := fileSize(walPath)
@@ -296,7 +333,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if err := rdb.InsertCtx(context.Background(), 3, seg2(0, 10, 3, 3), WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(rdb); err != nil {
+	if err := crash(rdb); err != nil {
 		t.Fatal(err)
 	}
 	rdb2, _, err := OpenFileRecover(path)
@@ -328,7 +365,7 @@ func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	}
 	db.health.after = 0 // default threshold, not the soak's "never"
 	defer fs.Close()
-	if err := db.armWAL(path+".wal", 0, nil); err != nil {
+	if db.wal, err = replayLog(path+".wal", wal.Options{}, db.tree, db.cfg.Dims, 0, 1, db.appliedLSN, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer db.wal.Close()
@@ -457,7 +494,7 @@ func TestFailedBatchNotReplayed(t *testing.T) {
 		t.Fatalf("in-batch insert+delete rejected: %v", err)
 	}
 
-	if err := crashDB(db); err != nil {
+	if err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 	rdb, rep, err := OpenFileRecover(path)

@@ -71,6 +71,29 @@ func (w *writeSpan) stage(name string, d time.Duration) {
 	w.stages = append(w.stages, obs.TimedStage(name, d))
 }
 
+// applyStages attributes the wall time of a batch's locked apply phase:
+// the delete balance check inside it joins the validate stage (always
+// the span's first, recorded before the lock), the log appends are
+// wal-append (when a log is armed) and the rest is tree-apply. Sharded
+// checks and appends run in parallel, so their summed time can exceed
+// the phase's wall time; tree-apply then keeps the whole.
+func (w *writeSpan) applyStages(total, check, appendDur time.Duration, logged bool) {
+	if w.tracer == nil {
+		return
+	}
+	w.stages[0].WallNS += check.Nanoseconds()
+	if total > check {
+		total -= check
+	}
+	if logged {
+		w.stage(stageWALAppend, appendDur)
+		if total > appendDur {
+			total -= appendDur
+		}
+	}
+	w.stage(stageTreeApply, total)
+}
+
 // finish records the span: batch size, outcome, and the stages measured
 // before the batch succeeded or bailed.
 func (w *writeSpan) finish(updates int, err error) {
